@@ -86,6 +86,7 @@ struct Counters {
     latency_us_total: AtomicU64,
     blocks_in_scope: AtomicU64,
     blocks_decoded: AtomicU64,
+    index_candidates: AtomicU64,
 }
 
 /// A point-in-time snapshot of the server's counters.
@@ -105,6 +106,8 @@ pub struct ServerStats {
     pub blocks_in_scope: u64,
     /// Blocks actually decoded over all store queries served.
     pub blocks_decoded: u64,
+    /// Grid-index candidates over all window queries served.
+    pub index_candidates: u64,
     /// How long the server had been up when the snapshot was taken.
     pub uptime: Duration,
 }
@@ -360,6 +363,7 @@ fn snapshot(shared: &Shared) -> ServerStats {
         latency_us_total: c.latency_us_total.load(Ordering::Relaxed),
         blocks_in_scope: c.blocks_in_scope.load(Ordering::Relaxed),
         blocks_decoded: c.blocks_decoded.load(Ordering::Relaxed),
+        index_candidates: c.index_candidates.load(Ordering::Relaxed),
         uptime: shared.started.elapsed(),
     }
 }
@@ -611,6 +615,8 @@ fn record_query_stats(shared: &Shared, stats: &QueryStats) {
         .fetch_add(stats.blocks_in_scope as u64, Ordering::Relaxed);
     c.blocks_decoded
         .fetch_add(stats.blocks_decoded as u64, Ordering::Relaxed);
+    c.index_candidates
+        .fetch_add(stats.index_candidates as u64, Ordering::Relaxed);
 }
 
 fn handle_devices(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
@@ -1242,6 +1248,12 @@ fn render_metrics(shared: &Shared) -> String {
         "Blocks actually decoded over all store queries served.",
         &[],
         server.blocks_decoded,
+    );
+    snap.put_counter(
+        "store_index_candidates_total",
+        "Grid-index candidate blocks over all window queries served, before the metadata check.",
+        &[],
+        server.index_candidates,
     );
     // Query engine.  The cumulative geofence/kNN counters live in the
     // merged global registry (registered at zero at startup); this store's

@@ -55,6 +55,7 @@ fn metrics_exposition_covers_every_subsystem() {
         "store_points",
         "store_blocks_in_scope_total",
         "store_blocks_decoded_total",
+        "store_index_candidates_total",
         "store_arena_creates_total",
         "store_shard_blocks",
         "pager_hits_total",
@@ -97,6 +98,18 @@ fn metrics_exposition_covers_every_subsystem() {
         .unwrap();
     let served: f64 = count_line.rsplit_once(' ').unwrap().1.parse().unwrap();
     assert!(served >= 2.0, "requests_total stuck at {served}");
+
+    // The window query crosses device 2's line, so the index offered at
+    // least that block.
+    let candidates_line = body
+        .lines()
+        .find(|l| l.starts_with("store_index_candidates_total"))
+        .unwrap();
+    let candidates: f64 = candidates_line.rsplit_once(' ').unwrap().1.parse().unwrap();
+    assert!(
+        candidates >= 1.0,
+        "index_candidates_total stuck at {candidates}"
+    );
     server.stop();
 }
 

@@ -1,13 +1,23 @@
 //! The in-memory spatio-temporal grid index.
 //!
-//! A uniform grid over the plane maps each cell to the blocks whose
-//! ζ-expanded bounding boxes touch it.  A spatial window query walks only
-//! the cells the window overlaps, collects candidate blocks, and then
-//! filters the candidates on their precise metadata (bbox and time
-//! interval) — the decode cost is paid only for blocks that survive both
-//! levels of pruning.
+//! A multi-level grid over the plane maps each cell to the blocks whose
+//! ζ-expanded bounding boxes touch it.  Level `l` has square cells of edge
+//! `cell_size · 2^l`, and every level-`l` cell is exactly four level-`l-1`
+//! cells.  A block is registered on the *finest* level where its expanded
+//! box spans at most 4 × 4 cells, so no block holds more than 16 cell
+//! references however long or fast its vehicle travelled: the index grows
+//! with the number of blocks, not with the area they cover.
+//!
+//! A spatial window query walks the cells the window overlaps on every
+//! occupied level, collects candidate blocks, and then the store filters
+//! the candidates on their precise metadata (bbox and time interval) — the
+//! decode cost is paid only for blocks that survive both levels of
+//! pruning.  A coarse level returns more candidates per cell than the
+//! finest would, but the precise check prunes them before any decode, so
+//! answers do not depend on which level a block landed on.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 
 use traj_geo::BoundingBox;
 use traj_pipeline::DeviceId;
@@ -24,33 +34,51 @@ pub struct BlockRef {
     pub block: usize,
 }
 
-/// Upper bound on the number of grid cells a single block may be
-/// registered under.  A legitimate block (at most a few dozen segments of
-/// one vehicle's movement) covers a handful of cells; a block whose
-/// ζ-expanded box would cover more than this is either pathologically
-/// configured or carries corrupt metadata, and enumerating its cells could
-/// take effectively forever.  Such blocks go to the oversize list instead,
-/// which every lookup scans — correct (never skipped), just not O(1).
-const MAX_CELLS_PER_BLOCK: u64 = 4096;
+/// Most cells a block spans along one axis of the level it is registered
+/// on, hence at most `MAX_SPAN * MAX_SPAN` = 16 references per block.  A
+/// 2 × 2 rule halves the footprint again but makes lookups on the coarse
+/// levels return more candidates per window.
+const MAX_SPAN: u64 = 4;
 
-/// Upper bound on the number of grid cells a lookup enumerates before
-/// degrading to a full candidate scan.  Lookup windows come from untrusted
-/// callers (HTTP query parameters); without a cap a huge window would walk
-/// an effectively unbounded cell range.
+/// Coarsest level.  At the default 500 m cell its cells are 2 · 10^12 m
+/// wide, far beyond any real coordinate; a block whose expanded box would
+/// need a coarser level carries corrupt metadata or an absurd ζ and goes
+/// to the oversize list instead, which every lookup scans — correct
+/// (never skipped), just not O(1).
+const MAX_LEVEL: usize = 32;
+
+/// Upper bound on the number of cells a lookup probes on one level.
+/// Lookup windows come from untrusted callers (HTTP query parameters);
+/// a level whose window range spans more cells than this (or more than
+/// the level has occupied cells) is scanned entry by entry instead, so a
+/// huge window costs at most one pass over the index.
 const MAX_CELLS_PER_QUERY: u64 = 1 << 16;
 
-/// A uniform spatial grid over block bounding boxes.
+/// The allocator's bookkeeping per heap allocation (two words on common
+/// allocators), counted by [`GridIndex::approx_bytes`].
+const ALLOC_OVERHEAD: usize = 2 * size_of::<usize>();
+
+type Cell = (i64, i64);
+
+/// One level: occupied cells and the blocks registered under each.
+type Level = HashMap<Cell, Vec<BlockRef>>;
+
+/// A multi-level spatial grid over block bounding boxes.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell_size: f64,
-    cells: HashMap<(i64, i64), Vec<BlockRef>>,
-    /// Blocks too large for cell enumeration; always candidates.
+    /// `levels[l]` holds the blocks registered on level `l`; grown on
+    /// demand, so it ends at the coarsest level in use.
+    levels: Vec<Level>,
+    /// Blocks too large (or too malformed) for any level; always
+    /// candidates.
     oversize: Vec<BlockRef>,
     blocks: usize,
 }
 
 impl GridIndex {
-    /// Creates an empty index with the given cell edge length (meters).
+    /// Creates an empty index with the given finest cell edge length
+    /// (meters).
     pub fn new(cell_size: f64) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
@@ -58,13 +86,13 @@ impl GridIndex {
         );
         Self {
             cell_size,
-            cells: HashMap::new(),
+            levels: Vec::new(),
             oversize: Vec::new(),
             blocks: 0,
         }
     }
 
-    /// The configured cell edge length.
+    /// The configured cell edge length of the finest level.
     pub fn cell_size(&self) -> f64 {
         self.cell_size
     }
@@ -74,63 +102,105 @@ impl GridIndex {
         self.blocks
     }
 
-    /// Number of non-empty grid cells.
+    /// Number of non-empty grid cells, summed over the levels.
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.levels.iter().map(HashMap::len).sum()
     }
 
-    /// Approximate heap footprint of the index in bytes: every cell entry
-    /// plus every registered block reference (hash-map overhead ignored).
+    /// Number of block references held: one per (block, cell) pair plus
+    /// one per oversize block.  At most 16 per block by construction.
+    pub fn num_references(&self) -> usize {
+        let cells: usize = self
+            .levels
+            .iter()
+            .flat_map(HashMap::values)
+            .map(Vec::len)
+            .sum();
+        cells + self.oversize.len()
+    }
+
+    /// Approximate heap footprint of the index in bytes: each level's hash
+    /// table at its allocated bucket count (entry plus control byte per
+    /// bucket), every reference vector at its capacity, and the
+    /// allocator's header on each allocation.
     pub fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(i64, i64)>() + std::mem::size_of::<Vec<BlockRef>>();
-        let refs: usize = self.cells.values().map(Vec::len).sum::<usize>() + self.oversize.len();
-        self.cells.len() * entry + refs * std::mem::size_of::<BlockRef>()
+        let vec_bytes = |v: &Vec<BlockRef>| match v.capacity() {
+            0 => 0,
+            cap => cap * size_of::<BlockRef>() + ALLOC_OVERHEAD,
+        };
+        let levels: usize = self
+            .levels
+            .iter()
+            .map(|level| table_bytes(level) + level.values().map(vec_bytes).sum::<usize>())
+            .sum();
+        let spine = self.levels.capacity() * size_of::<Level>();
+        levels + spine + vec_bytes(&self.oversize)
     }
 
+    /// The finest-level cell holding `(x, y)`.  Saturating for coordinates
+    /// beyond `i64` cells, so the mapping stays monotone on every finite
+    /// or infinite input; level `l`'s cell is this one shifted right by
+    /// `l` (an exact floor division by `2^l`).
     #[inline]
-    fn cell_of(&self, x: f64, y: f64) -> (i64, i64) {
+    fn cell_of(&self, x: f64, y: f64) -> Cell {
         (
             (x / self.cell_size).floor() as i64,
             (y / self.cell_size).floor() as i64,
         )
     }
 
-    /// Cell range covered by a box expanded by `radius`.
-    fn cell_range(&self, bbox: &BoundingBox, radius: f64) -> ((i64, i64), (i64, i64)) {
+    /// Finest-level cell range covered by a box expanded by `radius`.
+    fn cell_range(&self, bbox: &BoundingBox, radius: f64) -> (Cell, Cell) {
         let lo = self.cell_of(bbox.min_x - radius, bbox.min_y - radius);
         let hi = self.cell_of(bbox.max_x + radius, bbox.max_y + radius);
         (lo, hi)
     }
 
-    /// Registers a block under every cell its ζ-expanded bounding box
-    /// touches.  The expansion at insert time means lookups do not have to
-    /// expand the *query* window by a per-block ζ they do not know.
+    /// Registers a block on the finest level where its ζ-expanded bounding
+    /// box spans at most 4 × 4 cells, under every cell of that level the
+    /// box touches.  The expansion at insert time means lookups do not
+    /// have to expand the *query* window by a per-block ζ they do not know.
     pub fn insert(&mut self, block: BlockRef, meta: &BlockMeta) {
         if meta.bbox.is_empty() {
             return;
         }
-        let ((x0, y0), (x1, y1)) = self.cell_range(&meta.bbox, meta.slack_radius());
-        // A corrupt or pathological bounding box (bit-rotted meta, absurd
-        // ζ) must not drive an effectively unbounded cell enumeration:
-        // park such blocks on the always-checked oversize list.
-        let cells =
-            (x1.saturating_sub(x0) as u64 + 1).saturating_mul(y1.saturating_sub(y0) as u64 + 1);
-        if x0 > x1 || y0 > y1 || cells > MAX_CELLS_PER_BLOCK {
+        self.blocks += 1;
+        let radius = meta.slack_radius();
+        let bounds = [
+            meta.bbox.min_x,
+            meta.bbox.min_y,
+            meta.bbox.max_x,
+            meta.bbox.max_y,
+            radius,
+        ];
+        let ((x0, y0), (x1, y1)) = self.cell_range(&meta.bbox, radius);
+        // A corrupt or pathological box (bit-rotted meta, NaN, absurd ζ)
+        // must not land in some arbitrary cell or drive a huge level
+        // search: park it on the always-checked oversize list.
+        if bounds.iter().any(|v| !v.is_finite()) || x0 > x1 || y0 > y1 {
             self.oversize.push(block);
-            self.blocks += 1;
             return;
         }
-        for cx in x0..=x1 {
-            for cy in y0..=y1 {
-                self.cells.entry((cx, cy)).or_default().push(block);
+        let Some(level) = (0..=MAX_LEVEL).find(|&l| {
+            (x1 >> l).abs_diff(x0 >> l) < MAX_SPAN && (y1 >> l).abs_diff(y0 >> l) < MAX_SPAN
+        }) else {
+            self.oversize.push(block);
+            return;
+        };
+        if self.levels.len() <= level {
+            self.levels.resize_with(level + 1, HashMap::new);
+        }
+        let cells = &mut self.levels[level];
+        for cx in x0 >> level..=x1 >> level {
+            for cy in y0 >> level..=y1 >> level {
+                cells.entry((cx, cy)).or_default().push(block);
             }
         }
-        self.blocks += 1;
     }
 
     /// Candidate blocks for a spatial window: every block registered under
-    /// a cell the window overlaps, deduplicated and in deterministic
-    /// order.  Candidates still need the precise
+    /// a cell the window overlaps on any level, deduplicated and in
+    /// deterministic order.  Candidates still need the precise
     /// [`BlockMeta::may_intersect_window`] check — a cell is coarser than
     /// a bounding box.
     pub fn candidates(&self, window: &BoundingBox) -> Vec<BlockRef> {
@@ -160,19 +230,32 @@ impl GridIndex {
             return self.all_candidates();
         }
         let ((x0, y0), (x1, y1)) = self.cell_range(window, 0.0);
-        // A window spanning absurdly many cells (possible with untrusted
-        // query parameters) degrades to a full candidate scan instead of
-        // an unbounded cell walk; the precise per-block check still runs.
-        let span =
-            (x1.saturating_sub(x0) as u64 + 1).saturating_mul(y1.saturating_sub(y0) as u64 + 1);
-        if x0 > x1 || y0 > y1 || span > MAX_CELLS_PER_QUERY {
-            return self.all_candidates();
-        }
         let mut out = Vec::new();
-        for cx in x0..=x1 {
-            for cy in y0..=y1 {
-                if let Some(refs) = self.cells.get(&(cx, cy)) {
-                    out.extend_from_slice(refs);
+        for (l, cells) in self.levels.iter().enumerate() {
+            if cells.is_empty() {
+                continue;
+            }
+            let (x0, y0, x1, y1) = (x0 >> l, y0 >> l, x1 >> l, y1 >> l);
+            // Probe the window's cells when they are few; a window
+            // spanning more cells than the level holds (possible with
+            // untrusted query parameters) scans the level's entries
+            // instead, so the walk is bounded by the index, not the
+            // window.
+            let span = (x1.abs_diff(x0).saturating_add(1))
+                .saturating_mul(y1.abs_diff(y0).saturating_add(1));
+            if span <= MAX_CELLS_PER_QUERY && span <= cells.len() as u64 {
+                for cx in x0..=x1 {
+                    for cy in y0..=y1 {
+                        if let Some(refs) = cells.get(&(cx, cy)) {
+                            out.extend_from_slice(refs);
+                        }
+                    }
+                }
+            } else {
+                for (&(cx, cy), refs) in cells {
+                    if (x0..=x1).contains(&cx) && (y0..=y1).contains(&cy) {
+                        out.extend_from_slice(refs);
+                    }
                 }
             }
         }
@@ -184,14 +267,33 @@ impl GridIndex {
         out
     }
 
-    /// Every registered block, deduplicated and ordered — the degraded
-    /// answer for windows the cell walk cannot bound.
+    /// Every registered block, deduplicated and ordered — the answer for
+    /// windows unbounded on some side.
     fn all_candidates(&self) -> Vec<BlockRef> {
-        let mut out: Vec<BlockRef> = self.cells.values().flatten().copied().collect();
+        let mut out: Vec<BlockRef> = self
+            .levels
+            .iter()
+            .flat_map(HashMap::values)
+            .flatten()
+            .copied()
+            .collect();
         out.extend_from_slice(&self.oversize);
         out.sort_unstable();
         out.dedup();
         out
+    }
+}
+
+/// Heap bytes of a level's hash table: std's `HashMap` allocates a
+/// power-of-two bucket count at most 7/8 full, one control byte per
+/// bucket plus one 16-byte group of trailing control bytes.
+fn table_bytes(level: &Level) -> usize {
+    match level.capacity() {
+        0 => 0,
+        cap => {
+            let buckets = (cap * 8 / 7).next_power_of_two();
+            buckets * (size_of::<(Cell, Vec<BlockRef>)>() + 1) + 16 + ALLOC_OVERHEAD
+        }
     }
 }
 
@@ -381,6 +483,85 @@ mod tests {
         ] {
             assert_eq!(index.candidates(&w).len(), 5, "window {w:?}");
         }
+    }
+
+    #[test]
+    fn long_blocks_climb_levels_and_keep_at_most_sixteen_references() {
+        let mut index = GridIndex::new(100.0);
+        // One block per extent from 1 m to 80 km: the single-level grid
+        // registered the longest under ~640,000 cells.
+        for (d, extent) in [1.0, 90.0, 350.0, 2_000.0, 15_000.0, 80_000.0]
+            .into_iter()
+            .enumerate()
+        {
+            let mut meta = meta_at(d as u64, 0.0, 0.0, 10.0);
+            meta.bbox = window(-extent / 2.0, 0.0, extent / 2.0, extent / 3.0);
+            let before = index.num_references();
+            index.insert(
+                BlockRef {
+                    device: d as u64,
+                    block: 0,
+                },
+                &meta,
+            );
+            let added = index.num_references() - before;
+            assert!((1..=16).contains(&added), "extent {extent}: {added} refs");
+            assert!(index.oversize.is_empty(), "extent {extent} went oversize");
+        }
+        assert!(index.levels.len() > 5, "long blocks use coarse levels");
+        // A window touching only the origin finds every block.
+        assert_eq!(index.candidates(&window(-0.1, 0.1, 0.1, 0.2)).len(), 6);
+    }
+
+    #[test]
+    fn non_finite_meta_goes_to_the_oversize_list() {
+        let mut index = GridIndex::new(100.0);
+        for (d, v) in [f64::NAN, f64::INFINITY].into_iter().enumerate() {
+            let mut meta = meta_at(d as u64, 0.0, 0.0, 5.0);
+            meta.bbox.max_x = v;
+            index.insert(
+                BlockRef {
+                    device: d as u64,
+                    block: 0,
+                },
+                &meta,
+            );
+        }
+        assert_eq!(index.num_cells(), 0);
+        assert_eq!(index.oversize.len(), 2);
+        assert_eq!(
+            index.candidates(&window(500.0, 500.0, 501.0, 501.0)).len(),
+            2
+        );
+    }
+
+    #[test]
+    fn approx_bytes_counts_capacity_and_table_overhead() {
+        let mut index = GridIndex::new(100.0);
+        for d in 0..200u64 {
+            let meta = meta_at(d, (d % 20) as f64 * 70.0, (d / 20) as f64 * 70.0, 10.0);
+            index.insert(
+                BlockRef {
+                    device: d,
+                    block: 0,
+                },
+                &meta,
+            );
+        }
+        let capacity: usize = index
+            .levels
+            .iter()
+            .flat_map(HashMap::values)
+            .map(Vec::capacity)
+            .sum::<usize>()
+            + index.oversize.capacity();
+        let floor = capacity * size_of::<BlockRef>();
+        assert!(capacity > index.num_references(), "vectors over-allocate");
+        assert!(
+            index.approx_bytes() >= floor + index.num_cells() * size_of::<(Cell, Vec<BlockRef>)>(),
+            "{} bytes reported for {floor} bytes of capacity",
+            index.approx_bytes()
+        );
     }
 
     #[test]

@@ -575,6 +575,7 @@ impl ShardedStore {
             merged.stats.blocks_in_scope += q.stats.blocks_in_scope;
             merged.stats.blocks_decoded += q.stats.blocks_decoded;
             merged.stats.segments_returned += q.stats.segments_returned;
+            merged.stats.index_candidates += q.stats.index_candidates;
             merged.matches.extend(q.matches);
         }
         merged.matches.sort_by_key(|m| m.device);
@@ -603,6 +604,7 @@ impl ShardedStore {
             merged.stats.blocks_in_scope += q.stats.blocks_in_scope;
             merged.stats.blocks_decoded += q.stats.blocks_decoded;
             merged.stats.segments_returned += q.stats.segments_returned;
+            merged.stats.index_candidates += q.stats.index_candidates;
             merged.matches.extend(q.matches);
         }
         merged.matches.sort_by_key(|m| m.device);
@@ -704,6 +706,10 @@ mod tests {
         let (qa, qb) = (sharded.window_query(&w, None), flat.window_query(&w, None));
         assert_eq!(qa.matches, qb.matches);
         assert_eq!(qa.stats.blocks_in_scope, qb.stats.blocks_in_scope);
+        // A block's registration depends only on its own metadata, so the
+        // per-shard candidate counts sum to the flat index's.
+        assert!(qb.stats.index_candidates > 0);
+        assert_eq!(qa.stats.index_candidates, qb.stats.index_candidates);
     }
 
     #[test]

@@ -166,6 +166,10 @@ pub struct QueryStats {
     pub blocks_decoded: usize,
     /// Segments returned to the caller.
     pub segments_returned: usize,
+    /// Blocks the grid index returned as candidates for a window query,
+    /// before the precise metadata check (0 for per-device queries, which
+    /// do not consult the index).
+    pub index_candidates: usize,
 }
 
 impl QueryStats {
@@ -922,7 +926,9 @@ impl TrajStore {
         };
         let mut current: Option<DeviceMatch> = None;
         let mut arena = self.arenas.checkout();
-        for candidate in self.index.candidates(window) {
+        let candidates = self.index.candidates(window);
+        query.stats.index_candidates = candidates.len();
+        for candidate in candidates {
             let block = &self.logs[&candidate.device].blocks[candidate.block];
             let survives = match planner {
                 Some(planner) => planner.check_block(&block.meta, window, time),

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full workspace gate: formatting, release build, tests, the storage
 # engine's example + bench smoke runs, the bench-regression comparator,
-# rustdoc, clippy.
+# a traced perfbench run of every workload, rustdoc, clippy.
 # Usage: ./scripts/check.sh
 #
 # The bench gate diffs the fresh BENCH_<name>.json reports against the
@@ -88,6 +88,19 @@ BENCH_TOLERANCE="${BENCH_TOLERANCE_SERVICE:-0.60}" \
     cargo run --release -p traj-bench --bin bench_compare -- \
     --baseline BENCH_baseline.json \
     "$BENCH_OUT/BENCH_service.json"
+
+echo "==> perfbench: build, self-tests, and a traced run of all four workloads"
+# The repo benchmark builds the workspace crates from source through its
+# own manifest, so a change that breaks its build, its answer checks or
+# its traced half fails here rather than in the next benchmark run.
+# Much shorter runs trip perfbench's own rule that a percentile needs ten
+# samples beyond it.  `--workload all` merges the children's verdicts into
+# its last line, which must report correct answers.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 6 --trace 1 > "$BENCH_OUT/perfbench_all.txt"
+tail -n 1 "$BENCH_OUT/perfbench_all.txt" | grep -q '"correct": true'
 
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
