@@ -4,7 +4,7 @@
 //! optimization-free Raw-OPERB / Raw-OPERB-A.
 
 use operb::{Operb, OperbA};
-use traj_baselines::{Bqs, DouglasPeucker, Fbqs, OpeningWindow};
+use traj_baselines::{DouglasPeucker, Fbqs};
 use traj_model::BatchSimplifier;
 
 /// A named, boxed batch simplifier.
@@ -32,29 +32,6 @@ pub fn ablation_algorithms() -> AlgorithmSet {
     ]
 }
 
-/// Every implemented line-simplification algorithm (used by the `all`
-/// comparison and the examples).
-pub fn all_algorithms() -> AlgorithmSet {
-    vec![
-        Box::new(DouglasPeucker::new()),
-        Box::new(OpeningWindow::new()),
-        Box::new(Bqs::new()),
-        Box::new(Fbqs::new()),
-        Box::new(Operb::raw()),
-        Box::new(Operb::new()),
-        Box::new(OperbA::raw()),
-        Box::new(OperbA::new()),
-    ]
-}
-
-/// Looks an algorithm up by its display name (case insensitive).
-pub fn algorithm_by_name(name: &str) -> Option<Box<dyn BatchSimplifier>> {
-    let lower = name.to_ascii_lowercase();
-    all_algorithms()
-        .into_iter()
-        .find(|a| a.name().to_ascii_lowercase() == lower)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,14 +42,5 @@ mod tests {
         assert_eq!(names, vec!["DP", "FBQS", "OPERB", "OPERB-A"]);
         let names: Vec<&str> = ablation_algorithms().iter().map(|a| a.name()).collect();
         assert_eq!(names, vec!["Raw-OPERB", "OPERB", "Raw-OPERB-A", "OPERB-A"]);
-        assert_eq!(all_algorithms().len(), 8);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert!(algorithm_by_name("operb").is_some());
-        assert!(algorithm_by_name("OPERB-A").is_some());
-        assert!(algorithm_by_name("dp").is_some());
-        assert!(algorithm_by_name("no-such-algorithm").is_none());
     }
 }

@@ -1,8 +1,9 @@
 //! # traj-bench
 //!
-//! The experiment harness that regenerates every table and figure of the
-//! OPERB paper's evaluation (§6) on the synthetic workloads of
-//! [`traj_data`], plus Criterion micro-benchmarks (in `benches/`).
+//! The experiments crate: regenerates every table and figure of the OPERB
+//! paper's evaluation (§6) on the synthetic workloads of [`traj_data`].
+//! End-to-end and per-layer performance is measured by `perfbench` at the
+//! repository root, not here.
 //!
 //! Run everything:
 //!
@@ -22,9 +23,7 @@
 pub mod algorithms;
 pub mod datasets;
 pub mod experiments;
-pub mod harness;
 pub mod table;
 
-pub use algorithms::{algorithm_by_name, standard_algorithms, AlgorithmSet};
+pub use algorithms::{standard_algorithms, AlgorithmSet};
 pub use datasets::{DatasetRepository, Scale};
-pub use harness::{compare, run_timed, Baseline, BenchReport, Direction, Metric};

@@ -9,7 +9,6 @@ use crate::point::Point;
 
 /// An axis-aligned bounding box over planar points.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundingBox {
     /// Minimum x over the covered points.
     pub min_x: f64,

@@ -13,7 +13,6 @@ use crate::EPSILON;
 
 /// An infinite line through `anchor` with direction angle `theta`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Line {
     /// A point on the line.
     pub anchor: Point,

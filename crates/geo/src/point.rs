@@ -11,7 +11,6 @@ use std::fmt;
 /// simplification algorithms are purely spatial, so `t` only participates in
 /// ordering and in the synchronous Euclidean distance of the TD-TR baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Planar x coordinate (projected longitude), in meters.
     pub x: f64,

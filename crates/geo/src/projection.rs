@@ -15,7 +15,6 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// A raw GPS fix: longitude / latitude in degrees plus a timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeoPoint {
     /// Longitude in degrees, positive east.
     pub lon: f64,
@@ -50,7 +49,6 @@ pub fn haversine_distance(a: &GeoPoint, b: &GeoPoint) -> f64 {
 /// kilometers) for trajectory simplification where `ζ` is meters to tens of
 /// meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalProjection {
     origin: GeoPoint,
     cos_lat0: f64,

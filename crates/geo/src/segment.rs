@@ -13,7 +13,6 @@ use crate::point::Point;
 
 /// A directed line segment defined by its start and end points.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DirectedSegment {
     /// Start point `P_s`.
     pub start: Point,
@@ -137,7 +136,6 @@ impl DirectedSegment {
 /// Unlike [`DirectedSegment`], the end point of a `PolarSegment` need not be
 /// a data point of the trajectory: the fitting function synthesizes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PolarSegment {
     /// Anchor (start) point `P_s`.
     pub anchor: Point,

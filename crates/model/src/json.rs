@@ -236,6 +236,7 @@ impl JsonValue {
     /// Returns a [`JsonParseError`] describing the first malformed byte.
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -303,6 +304,7 @@ fn write_escaped(out: &mut String, s: &str) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -419,11 +421,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar straight from the input,
+                    // which is already valid UTF-8; validating the rest of
+                    // it per character would make long strings quadratic.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid utf-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -644,5 +649,20 @@ mod tests {
         let v = JsonValue::from("héllo ☃");
         assert_eq!(JsonValue::parse(&v.to_string()).unwrap(), v);
         assert_eq!(JsonValue::parse(r#""A☃""#).unwrap(), JsonValue::from("A☃"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MiB string value must parse in one pass over its bytes.
+        let body = "abc☃".repeat((1 << 20) / 6);
+        let document = format!(r#"{{"key":"{body}"}}"#);
+        let started = std::time::Instant::now();
+        let parsed = JsonValue::parse(&document).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.get("key"), Some(&JsonValue::from(body.as_str())));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "took {elapsed:?}"
+        );
     }
 }

@@ -16,7 +16,6 @@ use traj_geo::{DirectedSegment, Point};
 ///   synthetic point that is not part of the original trajectory
 ///   (`interpolated_start` / `interpolated_end` record this).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimplifiedSegment {
     /// The directed line segment of the representation.
     pub segment: DirectedSegment,
@@ -72,7 +71,6 @@ impl SimplifiedSegment {
 /// A piecewise line representation `T [L0, …, Lm]` of a trajectory with
 /// `original_len` points.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimplifiedTrajectory {
     segments: Vec<SimplifiedSegment>,
     original_len: usize,

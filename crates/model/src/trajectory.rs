@@ -15,7 +15,6 @@ use traj_geo::{DirectedSegment, Point};
 /// [`Trajectory::new_unchecked`] skips validation for workload generators
 /// that construct points in order by design.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trajectory {
     points: Vec<Point>,
 }

@@ -153,7 +153,7 @@ pub fn compress_fleet_sequential(
 /// error bound, returning the worst observed error.
 ///
 /// This is the verification every fleet consumer runs before trusting a
-/// throughput number (`trajsimp fleet`, `pipeline_bench`, the stress
+/// throughput number (`trajsimp fleet`, perfbench, the stress
 /// tests).  `fleet` must be the input the results were produced from,
 /// sorted by device id as produced by the drivers in this module.
 ///

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use traj_geo::{DirectedSegment, Point};
+use traj_geo::{BoundingBox, DirectedSegment, Point};
 use traj_model::json::JsonValue;
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
 use traj_service::{client, Server, ServiceConfig};
@@ -184,34 +184,112 @@ fn raw_garbage_and_non_get_are_rejected_politely() {
     server.stop();
 }
 
+/// Rebuilds a stored segment from its JSON form.
+fn segment_from_json(v: &JsonValue) -> SimplifiedSegment {
+    let f = |key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap();
+    let i = |key: &str| v.get(key).and_then(JsonValue::as_usize).unwrap();
+    SimplifiedSegment::new(
+        DirectedSegment::new(
+            Point::new(f("x0"), f("y0"), f("t0")),
+            Point::new(f("x1"), f("y1"), f("t1")),
+        ),
+        i("first_index"),
+        i("last_index"),
+    )
+}
+
+fn segments_from_json(v: Option<&JsonValue>) -> Vec<SimplifiedSegment> {
+    v.and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .map(segment_from_json)
+        .collect()
+}
+
+/// Sends one `/time_slice`, `/window` or `/position_at` request (by
+/// `kind`) and asserts its answer equals the direct store call.
+fn assert_http_matches_store(
+    addr: std::net::SocketAddr,
+    store: &ShardedStore,
+    kind: u64,
+    device: u64,
+    t0: f64,
+) {
+    // Spans the lines of `device` and its lower neighbour.
+    let window = BoundingBox {
+        min_x: t0 * 10.0 + 50.0,
+        min_y: device as f64 * 1000.0 - 1010.0,
+        max_x: t0 * 10.0 + 300.0,
+        max_y: device as f64 * 1000.0 + 10.0,
+    };
+    let (t1, t) = (t0 + 25.0, t0 + 3.5);
+    let path = match kind {
+        0 => format!("/time_slice?device={device}&from={t0}&to={t1}"),
+        1 => format!(
+            "/window?min_x={}&min_y={}&max_x={}&max_y={}",
+            window.min_x, window.min_y, window.max_x, window.max_y
+        ),
+        _ => format!("/position_at?device={device}&t={t}"),
+    };
+    let (status, body) = client::http_get(addr, &path).unwrap();
+    assert_eq!(status, 200, "{path}: {body}");
+    let json = JsonValue::parse(&body).unwrap();
+    match kind {
+        0 => assert_eq!(
+            segments_from_json(json.get("segments")),
+            store.time_slice(device, t0, t1).segments,
+            "{path}"
+        ),
+        1 => {
+            let got: Vec<(u64, Vec<SimplifiedSegment>)> = json
+                .get("matches")
+                .and_then(JsonValue::as_array)
+                .unwrap()
+                .iter()
+                .map(|m| {
+                    let device = m.get("device").and_then(JsonValue::as_usize).unwrap();
+                    (device as u64, segments_from_json(m.get("segments")))
+                })
+                .collect();
+            let want: Vec<(u64, Vec<SimplifiedSegment>)> = store
+                .window_query(&window, None)
+                .matches
+                .into_iter()
+                .map(|m| (m.device, m.segments))
+                .collect();
+            assert!(!want.is_empty(), "{path}");
+            assert_eq!(got, want, "{path}");
+        }
+        _ => {
+            let position = json.get("position").unwrap();
+            let coord = |key: &str| position.get(key).and_then(JsonValue::as_f64).unwrap();
+            let want = store.position_at(device, t).unwrap();
+            assert_eq!(
+                [coord("x"), coord("y"), coord("t")],
+                [want.x, want.y, want.t],
+                "{path}"
+            );
+        }
+    }
+}
+
 #[test]
 fn many_concurrent_clients_get_consistent_answers() {
+    // 32 clients mix time slices, windows and position lookups; every
+    // HTTP answer must equal the direct store call on the same store.
     let store = sample_store(16);
     let config = ServiceConfig::default()
         .with_workers(4)
         .with_queue_depth(64);
-    let server = Arc::new(Server::start(store, "127.0.0.1:0", config).unwrap());
+    let server = Arc::new(Server::start(Arc::clone(&store), "127.0.0.1:0", config).unwrap());
     let addr = server.local_addr();
-    let handles: Vec<_> = (0..8)
+    let handles: Vec<_> = (0..32u64)
         .map(|i| {
+            let store = Arc::clone(&store);
             std::thread::spawn(move || {
-                for round in 0..10 {
-                    let device = (i + round) % 16;
-                    let (status, body) = client::http_get(
-                        addr,
-                        &format!("/time_slice?device={device}&from=0&to=80"),
-                    )
-                    .unwrap();
-                    assert_eq!(status, 200);
-                    let json = JsonValue::parse(&body).unwrap();
-                    // All 8 segments of the device overlap [0, 80].
-                    assert_eq!(
-                        json.get("segments")
-                            .and_then(JsonValue::as_array)
-                            .map(<[_]>::len),
-                        Some(8),
-                        "device {device}"
-                    );
+                for round in 0..6u64 {
+                    let t0 = (round * 10) as f64;
+                    assert_http_matches_store(addr, &store, (i + round) % 3, (i + round) % 16, t0);
                 }
             })
         })
@@ -220,7 +298,7 @@ fn many_concurrent_clients_get_consistent_answers() {
         h.join().unwrap();
     }
     let stats = Arc::try_unwrap(server).ok().unwrap().stop();
-    assert_eq!(stats.requests, 80);
+    assert_eq!(stats.requests, 32 * 6);
     assert_eq!(stats.client_errors + stats.server_errors, 0);
 }
 

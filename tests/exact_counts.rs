@@ -1,0 +1,230 @@
+//! Exact counts of the block codec, the store, its buffer pool and the
+//! query engine on seeded Taxi fleets (seed 20170401, OPERB at ζ = 30 m).
+//!
+//! None of these figures depends on the machine or on timing: each is a
+//! deterministic function of the seed and the sizes below, so each is
+//! pinned to its exact value.  A change that moves one (a codec tweak, a
+//! new index rule, a different eviction order) must update the figure
+//! here and say why.  Wall-time figures live in perfbench, not here.
+
+use trajsimp::data::{DatasetGenerator, DatasetKind};
+use trajsimp::geo::{BoundingBox, Point};
+use trajsimp::model::codec::{BlockFormat, SegmentCodec};
+use trajsimp::model::{SimplifiedTrajectory, Trajectory};
+use trajsimp::pipeline::{compress_fleet, DeviceId, FleetAlgorithm, PipelineConfig};
+use trajsimp::store::{
+    compress_fleet_into_shared_store, compress_fleet_into_store, EvictionKind, ShardedStore,
+    StoreConfig, TrajStore,
+};
+
+const SEED: u64 = 20170401;
+const ZETA: f64 = 30.0;
+
+fn taxi_fleet(devices: usize, points: usize) -> Vec<(DeviceId, Trajectory)> {
+    let generator = DatasetGenerator::for_kind(DatasetKind::Taxi, SEED);
+    (0..devices)
+        .map(|i| (i as DeviceId, generator.generate_trajectory(i, points)))
+        .collect()
+}
+
+fn operb() -> FleetAlgorithm {
+    FleetAlgorithm::by_name("operb").expect("operb is registered")
+}
+
+fn pipeline_config() -> PipelineConfig {
+    PipelineConfig::new(ZETA).with_batch_size(256)
+}
+
+/// A square window of side `2 * half` centred on `centre`.
+fn square(centre: Point, half: f64) -> BoundingBox {
+    BoundingBox {
+        min_x: centre.x - half,
+        min_y: centre.y - half,
+        max_x: centre.x + half,
+        max_y: centre.y + half,
+    }
+}
+
+/// `simplified` cut into blocks of at most `block_segments` segments,
+/// the way `TrajStore` seals them.
+fn store_blocks(
+    simplified: &SimplifiedTrajectory,
+    block_segments: usize,
+) -> Vec<SimplifiedTrajectory> {
+    simplified
+        .segments()
+        .chunks(block_segments)
+        .map(|chunk| {
+            SimplifiedTrajectory::new(chunk.to_vec(), chunk[chunk.len() - 1].last_index + 1)
+        })
+        .collect()
+}
+
+#[test]
+fn block_format_footprints() {
+    // 64 trajectories × 500 points, encoded one block per trajectory and
+    // cut into the 32-segment blocks the store writes.
+    let fleet = taxi_fleet(64, 500);
+    let run = compress_fleet(&fleet, &pipeline_config(), &operb());
+    let mut simplified = Vec::new();
+    let mut points = 0;
+    for result in run.results {
+        simplified.push(result.output.expect("operb compresses every stream"));
+        points += result.points;
+    }
+    assert_eq!(points, 32_000);
+
+    let codec = SegmentCodec::default();
+    let stored = |format: BlockFormat, block_segments: usize| -> usize {
+        simplified
+            .iter()
+            .flat_map(|s| store_blocks(s, block_segments))
+            .map(|block| codec.encode_block(format, &block).expect("encodes").len())
+            .sum()
+    };
+    let whole = usize::MAX;
+    assert_eq!(stored(BlockFormat::Varint, whole), 150_049);
+    assert_eq!(stored(BlockFormat::ForFixed, whole), 138_211);
+    // At store-sized blocks FoR loses: each block's first row is absolute,
+    // and a ≤ 64-segment block is one chunk, so every value pays its width.
+    assert_eq!(stored(BlockFormat::Varint, 32), 155_393);
+    assert_eq!(stored(BlockFormat::ForFixed, 32), 236_874);
+}
+
+#[test]
+fn store_footprint_window_skipping_and_buffer_pool() {
+    // 100 devices × 150 points in FoR 32-segment blocks.
+    let fleet = taxi_fleet(100, 150);
+    let mut store = TrajStore::new(
+        StoreConfig::default()
+            .with_block_segments(32)
+            .with_format(BlockFormat::ForFixed),
+    );
+    let (_, ingested) = compress_fleet_into_store(&fleet, &pipeline_config(), &operb(), &mut store)
+        .expect("ingest succeeds");
+    assert_eq!(ingested, 100);
+    let stats = store.stats();
+    assert_eq!(
+        (stats.stored_bytes, stats.points, stats.blocks),
+        (114_031, 15_000, 241)
+    );
+
+    // Six 600 m windows centred on real traffic; the worst one still
+    // decodes fewer than a third of the blocks.
+    let windows: Vec<BoundingBox> = (0..6)
+        .map(|w| {
+            let (_, traj) = &fleet[(w * 37) % fleet.len()];
+            square(traj.point(traj.len() / (w + 2)), 300.0)
+        })
+        .collect();
+    let worst = windows
+        .iter()
+        .map(|w| {
+            let q = store.window_query(w, None);
+            (q.stats.blocks_decoded, q.stats.blocks_in_scope)
+        })
+        .max();
+    assert_eq!(worst, Some((71, 241)));
+
+    // Out of core: the payload cache holds a tenth of the stored bytes.
+    // A cold pass slices every device and runs every window, then a hot
+    // phase repeats eight times the longest device prefix whose blocks
+    // (at the average block size) fit half the cache, so each hot block
+    // misses once and hits seven times.
+    let cap = stats.stored_bytes / 10;
+    let dir = std::env::temp_dir().join(format!("trajsimp-exact-counts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    store.save(&dir).expect("save");
+    let avg_block = stats.stored_bytes as f64 / stats.blocks as f64;
+    let mut hot_bytes = 0.0;
+    let hot_devices = fleet
+        .iter()
+        .take_while(|(device, traj)| {
+            let blocks = store
+                .time_slice(*device, 0.0, traj.duration())
+                .stats
+                .blocks_decoded;
+            hot_bytes += blocks as f64 * avg_block;
+            hot_bytes <= cap as f64 / 2.0
+        })
+        .count()
+        .max(1);
+    for kind in EvictionKind::ALL {
+        let config = StoreConfig::default()
+            .with_cache_bytes(Some(cap))
+            .with_eviction(kind);
+        let ooc = TrajStore::open_with(&dir, config).expect("reopen");
+        let cache = || {
+            ooc.memory_stats()
+                .cache
+                .expect("a capped store has cache stats")
+        };
+        for (device, traj) in &fleet {
+            ooc.time_slice(*device, 0.0, traj.duration());
+        }
+        for window in &windows {
+            ooc.window_query(window, None);
+        }
+        let cold = cache();
+        for _ in 0..8 {
+            for (device, traj) in fleet.iter().take(hot_devices) {
+                ooc.time_slice(*device, 0.0, traj.duration());
+            }
+        }
+        let after = cache();
+        let hot = (after.hits - cold.hits, after.misses - cold.misses);
+        assert_eq!(hot, (70, 10), "{kind}: hot hits and misses");
+        assert_eq!(
+            (after.hits, after.misses, after.evictions),
+            (70, 548, 522),
+            "{kind}: hits, misses, evictions"
+        );
+        assert!(after.resident_bytes <= cap, "{kind}: over the cap");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn knn_pruning_and_geofence_alerts() {
+    // 128 devices × 500 points in 32-segment blocks.
+    let fleet = taxi_fleet(128, 500);
+    let config = StoreConfig::default().with_block_segments(32);
+
+    // kNN: 16 three-point probes along real paths, k = 10.
+    let mut store = TrajStore::new(config);
+    compress_fleet_into_store(&fleet, &pipeline_config(), &operb(), &mut store)
+        .expect("ingest succeeds");
+    let (mut devices_total, mut devices_pruned) = (0, 0);
+    let (mut blocks_total, mut blocks_decoded) = (0, 0);
+    for p in 0..16 {
+        let (_, traj) = &fleet[(p * 37) % fleet.len()];
+        let probe: Vec<Point> = [traj.len() / 4, traj.len() / 2, 3 * traj.len() / 4]
+            .iter()
+            .map(|&i| traj.point(i))
+            .collect();
+        let stats = store.knn(&probe, 10).stats;
+        devices_total += stats.devices_total;
+        devices_pruned += stats.devices_pruned;
+        blocks_total += stats.blocks_total;
+        blocks_decoded += stats.blocks_decoded;
+    }
+    assert_eq!((devices_pruned, devices_total), (1_650, 2_048));
+    assert_eq!((blocks_decoded, blocks_total), (1_417, 14_320));
+
+    // Geofences: four 600 m fences on real traffic watch a live ingest
+    // into four shards.
+    let shared = ShardedStore::new(config, 4);
+    for f in 0..4 {
+        let (_, traj) = &fleet[(f * 29 + 7) % fleet.len()];
+        let centre = traj.point((f + 1) * traj.len() / 5);
+        shared
+            .geofences()
+            .register(&format!("fence-{f}"), square(centre, 300.0), None)
+            .expect("fence registers");
+    }
+    compress_fleet_into_shared_store(&fleet, &pipeline_config(), &operb(), &shared)
+        .expect("ingest succeeds");
+    let stats = shared.geofences().stats();
+    assert_eq!(stats.alerts_fired, 317);
+    assert_eq!((stats.blocks_skipped, stats.blocks_checked), (3_263, 3_580));
+}
