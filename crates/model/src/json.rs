@@ -186,7 +186,7 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Number(v) => out.push_str(&format_number(*v)),
+            JsonValue::Number(v) => write_number(out, *v),
             JsonValue::String(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 if items.is_empty() {
@@ -260,23 +260,27 @@ fn write_newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-/// Formats a number the way `serde_json` does: integers without a decimal
-/// point, everything else through the shortest round-trippable `f64` form.
-fn format_number(v: f64) -> String {
+/// Appends a number the way `serde_json` writes it: integers without a
+/// decimal point, everything else through the shortest round-trippable
+/// `f64` form; NaN and the infinities become `null`.  Allocation-free, so
+/// callers that stream JSON straight into a buffer use it directly.
+pub fn write_number(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
     if !v.is_finite() {
         // JSON cannot represent NaN/Infinity; null is the least-bad option.
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
     // Negative zero must not take the integer fast path: `-0.0 as i64`
     // is `0`, which would silently drop the sign on a round-trip.
     if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 && (v != 0.0 || v.is_sign_positive()) {
-        format!("{}", v as i64)
+        let _ = write!(out, "{}", v as i64);
     } else {
-        let mut s = format!("{v}");
-        if !s.contains(['.', 'e', 'E']) {
-            s.push_str(".0");
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
         }
-        s
     }
 }
 
@@ -587,6 +591,32 @@ mod tests {
         assert_eq!(JsonValue::Number(-2.0).to_string(), "-2");
         assert_eq!(JsonValue::Number(0.125).to_string(), "0.125");
         assert_eq!(JsonValue::Number(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn write_number_handles_the_edge_cases() {
+        let two_53 = (1u64 << 53) as f64;
+        for (v, want) in [
+            (-0.0, "-0.0".to_string()),
+            (two_53, "9007199254740992.0".to_string()),
+            (-two_53, "-9007199254740992.0".to_string()),
+            (two_53 - 1.0, "9007199254740991".to_string()),
+            (0.1 + 0.2, "0.30000000000000004".to_string()),
+            (5e-324, format!("0.{}5", "0".repeat(323))),
+            (f64::NAN, "null".to_string()),
+            (f64::INFINITY, "null".to_string()),
+        ] {
+            // Appends after whatever the buffer already holds.
+            let mut out = String::from("[");
+            write_number(&mut out, v);
+            assert_eq!(&out[1..], want, "{v:?}");
+            assert_eq!(JsonValue::Number(v).to_string(), want, "{v:?}");
+        }
+        let mut max = String::new();
+        write_number(&mut max, f64::MAX);
+        assert_eq!(max.len(), 311);
+        assert!(max.starts_with("179769313486231570") && max.ends_with(".0"));
+        assert_eq!(max.parse::<f64>(), Ok(f64::MAX));
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   taken at registration and snapshot time);
 //! * a [`span`] on a thread with no active trace is one thread-local
 //!   check — instrumentation in the store stays disarmed unless the
-//!   request above it opened a trace.
+//!   request above it opened a trace;
+//! * spans under a trace that is then discarded allocate nothing:
+//!   attributes are inline [`AttrValue`]s, and the span buffers belong to
+//!   the thread and are reused by its next trace.
 //!
 //! ## Metrics
 //!
@@ -43,7 +46,9 @@
 //! thread; every [`span`] guard dropped while it is active records
 //! `(name, parent, start, duration, attrs)` into it.  The finished
 //! [`Trace`] can be rendered as an indented tree or pushed into the
-//! process-wide [`slow_log`] ring for retrieval over `/trace`.
+//! process-wide [`slow_log`] ring for retrieval over `/trace`.  The guard
+//! reports [`TraceGuard::elapsed_us`] first, so a caller keeping only
+//! slow traces builds the owned [`Trace`] (and its name) only for those.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,4 +60,6 @@ pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     Sample, SampleKind, Snapshot, BUCKETS,
 };
-pub use trace::{slow_log, span, trace_begin, SlowLog, Span, SpanRecord, Trace, TraceGuard};
+pub use trace::{
+    slow_log, span, trace_begin, AttrValue, SlowLog, Span, SpanRecord, Trace, TraceGuard,
+};

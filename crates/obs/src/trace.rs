@@ -8,17 +8,79 @@
 //! instrumentation deep in the store costs (almost) nothing for
 //! untraced callers — e.g. the WAL syncer thread or an unprofiled CLI
 //! query.
+//!
+//! An armed trace that is then discarded (its guard dropped unfinished)
+//! allocates nothing once its thread has warmed up: span attributes are
+//! plain values ([`AttrValue`]) held inline in the guard, and the span
+//! and stack buffers belong to the thread and are reused by its next
+//! trace.  Only [`TraceGuard::finish`] builds an owned [`Trace`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Spans kept per trace; further spans are counted, not stored.
 pub const MAX_SPANS: usize = 256;
 
+/// Attributes kept per span; further [`Span::attr`] calls are ignored.
+pub const MAX_SPAN_ATTRS: usize = 4;
+
 /// Finished traces kept in the slow-query ring.
 pub const SLOW_LOG_CAPACITY: usize = 64;
+
+/// A span attribute value: a count, a flag or a static label.  Rendered
+/// (by [`fmt::Display`]) only when a kept trace is shown.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AttrValue {
+    /// A count or size.
+    U64(u64),
+    /// A flag, shown as `true` / `false`.
+    Bool(bool),
+    /// A static label, e.g. a block format name.
+    Str(&'static str),
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::U64(v) => write!(f, "{v}"),
+            AttrValue::Bool(v) => write!(f, "{v}"),
+            AttrValue::Str(v) => f.write_str(v),
+        }
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(v: u64) -> Self {
+        AttrValue::U64(v)
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(v: u32) -> Self {
+        AttrValue::U64(u64::from(v))
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> Self {
+        AttrValue::U64(v as u64)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(v: bool) -> Self {
+        AttrValue::Bool(v)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(v: &'static str) -> Self {
+        AttrValue::Str(v)
+    }
+}
 
 /// One closed span inside a [`Trace`].
 #[derive(Clone, Debug)]
@@ -34,13 +96,13 @@ pub struct SpanRecord {
     /// Span duration in microseconds.
     pub dur_us: u64,
     /// Key/value attributes attached while the span was open.
-    pub attrs: Vec<(&'static str, String)>,
+    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 /// A finished bounded trace.
 #[derive(Clone, Debug)]
 pub struct Trace {
-    /// Root name — for a served request, the endpoint path.
+    /// Root name — for a served request, the request target.
     pub name: String,
     /// Total wall time from [`trace_begin`] to [`TraceGuard::finish`].
     pub total_us: u64,
@@ -106,34 +168,74 @@ impl Trace {
     }
 }
 
-struct ActiveTrace {
-    started: Instant,
+/// A span's attributes, held inline so that attaching one allocates
+/// nothing.
+type InlineAttrs = [Option<(&'static str, AttrValue)>; MAX_SPAN_ATTRS];
+
+/// A closed span as the thread buffers it until the trace is kept or
+/// discarded.
+struct ClosedSpan {
+    id: u32,
+    parent: u32,
+    name: &'static str,
+    start_us: u64,
+    dur_us: u64,
+    attrs: InlineAttrs,
+}
+
+/// The current thread's trace state.  The buffers outlive each trace, so
+/// a thread that has traced once reuses their capacity.
+struct ThreadTrace {
+    /// When the armed trace began; `None` while the thread is disarmed.
+    started: Option<Instant>,
+    /// Counts [`trace_begin`] calls, so a guard can tell whether a later
+    /// trace replaced its own.
+    generation: u64,
     next_id: u32,
     /// Open span ids, innermost last.
     stack: Vec<u32>,
-    spans: Vec<SpanRecord>,
+    spans: Vec<ClosedSpan>,
     dropped: u32,
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
+impl ThreadTrace {
+    /// Disarms the thread, keeping the buffers' capacity.
+    fn disarm(&mut self) {
+        self.started = None;
+        self.stack.clear();
+        self.spans.clear();
+        self.dropped = 0;
+    }
 }
 
-/// Arms tracing on the current thread and returns the guard that will
-/// collect the trace.  Replaces any trace already active on the thread.
-pub fn trace_begin(name: impl Into<String>) -> TraceGuard {
-    ACTIVE.with(|active| {
-        *active.borrow_mut() = Some(ActiveTrace {
-            started: Instant::now(),
+thread_local! {
+    static ACTIVE: RefCell<ThreadTrace> = const {
+        RefCell::new(ThreadTrace {
+            started: None,
+            generation: 0,
             next_id: 1,
             stack: Vec::new(),
             spans: Vec::new(),
             dropped: 0,
-        });
+        })
+    };
+}
+
+/// Arms tracing on the current thread and returns the guard that will
+/// collect the trace.  Replaces any trace already active on the thread.
+pub fn trace_begin() -> TraceGuard {
+    let started = Instant::now();
+    let generation = ACTIVE.with(|active| {
+        let mut trace = active.borrow_mut();
+        trace.disarm();
+        trace.started = Some(started);
+        trace.generation += 1;
+        trace.next_id = 1;
+        trace.generation
     });
     TraceGuard {
-        name: name.into(),
-        finished: false,
+        started,
+        generation,
     }
 }
 
@@ -141,42 +243,63 @@ pub fn trace_begin(name: impl Into<String>) -> TraceGuard {
 /// the trace. Not `Send` — the trace lives in this thread's storage.
 #[derive(Debug)]
 pub struct TraceGuard {
-    name: String,
-    finished: bool,
+    started: Instant,
+    generation: u64,
 }
 
 impl TraceGuard {
-    /// Disarms tracing on this thread and returns the collected trace.
+    /// Microseconds since [`trace_begin`] — what the trace's total would
+    /// be if it finished now, so a caller can decide whether to keep it
+    /// before paying for [`TraceGuard::finish`].
     #[must_use]
-    pub fn finish(mut self) -> Trace {
-        self.finished = true;
-        let name = std::mem::take(&mut self.name);
+    pub fn elapsed_us(&self) -> u64 {
+        instant_us(self.started.elapsed())
+    }
+
+    /// Disarms tracing on this thread and returns the collected trace
+    /// under `name`.
+    #[must_use]
+    pub fn finish(self, name: impl Into<String>) -> Trace {
+        let mut finished = Trace {
+            name: name.into(),
+            total_us: 0,
+            spans: Vec::new(),
+            dropped_spans: 0,
+        };
         ACTIVE.with(|active| {
-            let state = active.borrow_mut().take();
-            match state {
-                Some(t) => Trace {
-                    name,
-                    total_us: instant_us(t.started.elapsed()),
-                    spans: t.spans,
-                    dropped_spans: t.dropped,
-                },
-                // A nested trace_begin replaced us: return an empty trace.
-                None => Trace {
-                    name,
-                    total_us: 0,
-                    spans: Vec::new(),
-                    dropped_spans: 0,
-                },
+            let trace = active.borrow();
+            // A nested trace_begin replaced ours: return an empty trace.
+            if trace.generation != self.generation || trace.started.is_none() {
+                return;
             }
-        })
+            finished.total_us = self.elapsed_us();
+            finished.dropped_spans = trace.dropped;
+            finished.spans = trace
+                .spans
+                .iter()
+                .map(|s| SpanRecord {
+                    id: s.id,
+                    parent: s.parent,
+                    name: s.name,
+                    start_us: s.start_us,
+                    dur_us: s.dur_us,
+                    attrs: s.attrs.iter().flatten().copied().collect(),
+                })
+                .collect();
+        });
+        // Dropping `self` disarms the thread.
+        finished
     }
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        if !self.finished {
-            ACTIVE.with(|active| active.borrow_mut().take());
-        }
+        ACTIVE.with(|active| {
+            let mut trace = active.borrow_mut();
+            if trace.generation == self.generation {
+                trace.disarm();
+            }
+        });
     }
 }
 
@@ -188,23 +311,24 @@ fn instant_us(d: std::time::Duration) -> u64 {
 /// a no-op guard whose construction costs one thread-local check.
 pub fn span(name: &'static str) -> Span {
     let armed = ACTIVE.with(|active| {
-        let mut slot = active.borrow_mut();
-        let trace = slot.as_mut()?;
+        let mut trace = active.borrow_mut();
+        let started = trace.started?;
         let id = trace.next_id;
         trace.next_id += 1;
         let parent = trace.stack.last().copied().unwrap_or(0);
         trace.stack.push(id);
+        let now = Instant::now();
         Some(Armed {
             id,
             parent,
-            start_us: instant_us(trace.started.elapsed()),
-            started: Instant::now(),
+            start_us: instant_us(now.saturating_duration_since(started)),
+            started: now,
         })
     });
     Span {
         name,
         armed,
-        attrs: Vec::new(),
+        attrs: [None; MAX_SPAN_ATTRS],
     }
 }
 
@@ -222,14 +346,17 @@ struct Armed {
 pub struct Span {
     name: &'static str,
     armed: Option<Armed>,
-    attrs: Vec<(&'static str, String)>,
+    attrs: InlineAttrs,
 }
 
 impl Span {
-    /// Attaches a key/value attribute (no-op on a disarmed span).
-    pub fn attr(&mut self, key: &'static str, value: impl ToString) {
+    /// Attaches a key/value attribute (no-op on a disarmed span, and past
+    /// [`MAX_SPAN_ATTRS`] attributes).
+    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
         if self.armed.is_some() {
-            self.attrs.push((key, value.to_string()));
+            if let Some(slot) = self.attrs.iter_mut().find(|slot| slot.is_none()) {
+                *slot = Some((key, value.into()));
+            }
         }
     }
 }
@@ -239,20 +366,22 @@ impl Drop for Span {
         let Some(armed) = self.armed.take() else {
             return;
         };
-        let record = SpanRecord {
+        let record = ClosedSpan {
             id: armed.id,
             parent: armed.parent,
             name: self.name,
             start_us: armed.start_us,
             dur_us: instant_us(armed.started.elapsed()),
-            attrs: std::mem::take(&mut self.attrs),
+            attrs: self.attrs,
         };
         ACTIVE.with(|active| {
-            let mut slot = active.borrow_mut();
+            let mut trace = active.borrow_mut();
             // The trace this span belongs to may already be finished (a
             // span outliving its TraceGuard); then there is nothing to
             // record into.
-            let Some(trace) = slot.as_mut() else { return };
+            if trace.started.is_none() {
+                return;
+            }
             // Spans are strictly nested per thread, so ours is on top;
             // being defensive about out-of-order drops keeps the stack
             // consistent anyway.
@@ -327,19 +456,21 @@ mod tests {
 
     #[test]
     fn spans_record_parenting_and_attrs() {
-        let guard = trace_begin("/window");
+        let guard = trace_begin();
         {
             let _outer = span("handler");
             {
                 let mut inner = span("index_walk");
-                inner.attr("cells", 4);
+                inner.attr("cells", 4u64);
+                inner.attr("hit", true);
+                inner.attr("format", "varint");
             }
             {
                 let _decode = span("decode");
                 let _fetch = span("pager_fetch");
             }
         }
-        let trace = guard.finish();
+        let trace = guard.finish("/window");
         assert_eq!(trace.name, "/window");
         assert_eq!(trace.spans.len(), 4);
         let by_name = |n: &str| {
@@ -354,52 +485,89 @@ mod tests {
         assert_eq!(by_name("index_walk").parent, handler.id);
         assert_eq!(
             by_name("index_walk").attrs,
-            vec![("cells", "4".to_string())]
+            vec![
+                ("cells", AttrValue::U64(4)),
+                ("hit", AttrValue::Bool(true)),
+                ("format", AttrValue::Str("varint")),
+            ]
         );
         let decode = by_name("decode");
         assert_eq!(decode.parent, handler.id);
         assert_eq!(by_name("pager_fetch").parent, decode.id);
         let rendered = trace.render_text();
         assert!(rendered.contains("index_walk"));
-        assert!(rendered.contains("[cells=4]"));
+        assert!(rendered.contains("[cells=4,hit=true,format=varint]"));
     }
 
     #[test]
     fn spans_without_a_trace_are_disarmed() {
         let mut s = span("orphan");
-        s.attr("ignored", 1);
+        s.attr("ignored", 1u64);
         drop(s);
         // Still disarmed: a later trace sees none of it.
-        let guard = trace_begin("t");
-        let trace = guard.finish();
+        let guard = trace_begin();
+        let trace = guard.finish("t");
         assert!(trace.spans.is_empty());
     }
 
     #[test]
     fn traces_are_bounded() {
-        let guard = trace_begin("burst");
+        let guard = trace_begin();
         for _ in 0..(MAX_SPANS + 10) {
             let _s = span("tick");
         }
-        let trace = guard.finish();
+        let trace = guard.finish("burst");
         assert_eq!(trace.spans.len(), MAX_SPANS);
         assert_eq!(trace.dropped_spans, 10);
     }
 
     #[test]
     fn dropping_an_unfinished_guard_disarms_the_thread() {
-        drop(trace_begin("abandoned"));
-        let guard = trace_begin("fresh");
+        drop(trace_begin());
+        let guard = trace_begin();
         let _s = span("only");
         drop(_s);
-        assert_eq!(guard.finish().spans.len(), 1);
+        assert_eq!(guard.finish("fresh").spans.len(), 1);
+    }
+
+    #[test]
+    fn a_replaced_trace_finishes_empty_and_leaves_the_new_one_armed() {
+        let first = trace_begin();
+        drop(span("early"));
+        let second = trace_begin();
+        drop(span("late"));
+        let stale = first.finish("first");
+        assert!(stale.spans.is_empty());
+        assert_eq!(stale.total_us, 0);
+        // Finishing the stale guard did not disarm the newer trace.
+        drop(span("later"));
+        let names: Vec<_> = second
+            .finish("second")
+            .spans
+            .iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(names, ["late", "later"]);
+    }
+
+    #[test]
+    fn attributes_past_the_inline_bound_are_ignored() {
+        let guard = trace_begin();
+        {
+            let mut s = span("busy");
+            for i in 0..(MAX_SPAN_ATTRS as u64 + 2) {
+                s.attr("n", i);
+            }
+        }
+        let trace = guard.finish("t");
+        assert_eq!(trace.spans[0].attrs.len(), MAX_SPAN_ATTRS);
     }
 
     #[test]
     fn slow_log_is_a_ring() {
         let log = SlowLog::new(2);
         for name in ["a", "b", "c"] {
-            log.push(trace_begin(name).finish());
+            log.push(trace_begin().finish(name));
         }
         let recent = log.recent();
         assert_eq!(recent.len(), 2);

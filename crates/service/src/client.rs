@@ -73,8 +73,9 @@ pub fn http_get_timeout(
         .ok_or_else(|| bad("malformed status line"))?;
     let mut content_length: Option<usize> = None;
     let mut headers = 0usize;
+    let mut line = status_line;
     loop {
-        let mut line = String::new();
+        line.clear();
         if read_line_bounded(&mut reader, &mut line)? == 0 {
             return Err(bad("connection closed inside headers"));
         }

@@ -19,8 +19,11 @@
 //! | `GET /stats` | — | store totals + server counters |
 //! | `GET /shutdown` | — | acknowledges, then stops the server gracefully |
 //!
-//! Every response is JSON, carries the handler's `latency_us`, and query
-//! endpoints report how many blocks the data-skipping metadata pruned.
+//! Every response is JSON, carries the handler's `latency_us` (request
+//! parsing, the store call and body encoding), and query endpoints
+//! report how many blocks the data-skipping metadata pruned.  The query
+//! endpoints write their answer straight into the response buffer; the
+//! bytes are those a [`traj_model::json::JsonValue`] tree would render.
 //! Device ids are emitted as JSON numbers, so like every JSON consumer
 //! the API round-trips them exactly only up to 2⁵³ — fleets using hashed
 //! 64-bit ids above that need a string-id format change first.

@@ -10,10 +10,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use traj_geo::{BoundingBox, Point};
-use traj_model::json::JsonValue;
+use traj_model::json::{write_number, JsonValue};
 use traj_model::SimplifiedSegment;
 use traj_obs::{Gauge, Histogram, Registry, SpanRecord, Trace};
-use traj_store::{GeofenceAlert, GeofenceRegistry, Planner, QueryStats, ShardedStore};
+use traj_store::{GeofenceAlert, GeofenceRegistry, QueryStats, ShardedStore};
 
 use crate::http::{read_request, write_json_response, write_response, Request};
 
@@ -38,7 +38,10 @@ pub struct ServiceConfig {
     /// Requests at least this slow are traced into the global slow-query
     /// log served by `GET /trace`.  `Duration::ZERO` traces every request;
     /// `None` disables tracing entirely (spans cost one thread-local check
-    /// each).
+    /// each).  Every request is traced while this is set, but a trace
+    /// that stays under the threshold is discarded without allocating:
+    /// its spans reuse the worker thread's buffers, and the trace name is
+    /// built only for a trace the log keeps.
     pub slow_query: Option<Duration>,
 }
 
@@ -212,10 +215,6 @@ struct Shared {
     registry: Registry,
     endpoints: EndpointMetrics,
     queue_depth: Gauge,
-    /// The selectivity-driven predicate planner `/window` queries run
-    /// through — shared so every request feeds the same kill-ratio
-    /// statistics (see [`traj_store::Planner`]).
-    planner: Planner,
 }
 
 impl Shared {
@@ -288,7 +287,6 @@ impl Server {
             registry,
             endpoints,
             queue_depth: depth_gauge,
-            planner: Planner::new(),
         });
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue_depth);
@@ -418,11 +416,33 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
     }
 }
 
-/// A response body: JSON for the query endpoints, plain text for the
-/// Prometheus exposition on `/metrics`.
+/// A response body: JSON for every endpoint but `/metrics`, which serves
+/// plain-text Prometheus exposition.
 enum Body {
-    Json(JsonValue),
+    /// A JSON object rendered into the response buffer and left open:
+    /// [`close_with_latency`] appends the last member and the brace.
+    Json(String),
     Text(String),
+}
+
+/// Renders a tree-built JSON object into a response buffer, left open
+/// like the streamed bodies.
+fn open_object(value: &JsonValue) -> String {
+    let mut out = value.to_string();
+    let closing = out.pop();
+    assert_eq!(closing, Some('}'), "JSON response bodies are objects");
+    out
+}
+
+/// Closes an open JSON body with the handler latency, so clients see the
+/// server's cost separate from network time.
+fn close_with_latency(body: &mut String, latency_us: u64) {
+    if !body.ends_with('{') {
+        body.push(',');
+    }
+    body.push_str("\"latency_us\":");
+    write_number(body, latency_us as f64);
+    body.push('}');
 }
 
 /// The trace name for a request: the full target, so the slow log shows
@@ -449,30 +469,30 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     });
     let (status, body, endpoint_path) = match read_request(&mut reader) {
         Ok(request) => {
-            // Trace the whole handler when tracing is on; the finished
-            // trace goes to the slow log only past the threshold.
-            let guard = shared
+            // Trace the whole handler when tracing is on; only a trace past
+            // the threshold is collected (and named) for the slow log.
+            let tracing = shared
                 .config
                 .slow_query
-                .map(|_| traj_obs::trace_begin(trace_name(&request)));
+                .map(|threshold| (traj_obs::trace_begin(), threshold));
             let (status, body) = respond(shared, &request);
-            if let (Some(guard), Some(threshold)) = (guard, shared.config.slow_query) {
-                let trace = guard.finish();
-                if Duration::from_micros(trace.total_us) >= threshold {
-                    traj_obs::slow_log().push(trace);
+            if let Some((guard, threshold)) = tracing {
+                if Duration::from_micros(guard.elapsed_us()) >= threshold {
+                    traj_obs::slow_log().push(guard.finish(trace_name(&request)));
                 }
             }
             (status, body, Some(request.path))
         }
         Err(e) => (
             e.status(),
-            Body::Json(JsonValue::object([(
+            Body::Json(open_object(&JsonValue::object([(
                 "error",
                 JsonValue::from(e.to_string()),
-            )])),
+            )]))),
             None,
         ),
     };
+    // The latency covers parsing, the store call and body encoding.
     let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
     let c = &shared.counters;
     c.requests.fetch_add(1, Ordering::Relaxed);
@@ -491,17 +511,9 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         _ => {}
     }
     match body {
-        Body::Json(body) => {
-            // Attach the per-request latency so clients see the handler
-            // cost separate from network time.
-            let body = match body {
-                JsonValue::Object(mut pairs) => {
-                    pairs.push(("latency_us".to_string(), JsonValue::from(latency_us as f64)));
-                    JsonValue::Object(pairs)
-                }
-                other => other,
-            };
-            let _ = write_json_response(&mut stream, status, &body.to_string());
+        Body::Json(mut body) => {
+            close_with_latency(&mut body, latency_us);
+            let _ = write_json_response(&mut stream, status, &body);
         }
         Body::Text(text) => {
             let _ = write_response(&mut stream, status, METRICS_CONTENT_TYPE, &text);
@@ -509,19 +521,35 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     }
 }
 
-/// Routes one parsed request.  Returns `(status, body)`; the caller adds
-/// the latency field (JSON bodies only) and writes the response.
+/// A handler's failure: the status and the JSON error object to send.
+type Rejection = (u16, JsonValue);
+
+/// Routes one parsed request.  The query endpoints stream their answer
+/// straight into the response buffer; the rest build a [`JsonValue`]
+/// tree.  Either way the caller closes the body with the latency field
+/// and writes it.
 fn respond(shared: &Shared, request: &Request) -> (u16, Body) {
     let store = shared.store.as_ref();
-    if request.path == "/metrics" {
-        return (200, Body::Text(render_metrics(shared)));
-    }
-    let (status, body) = match request.path.as_str() {
-        "/devices" => handle_devices(store, request),
+    let streamed = match request.path.as_str() {
+        "/metrics" => return (200, Body::Text(render_metrics(shared))),
         "/time_slice" => handle_time_slice(store, shared, request),
         "/window" => handle_window(store, shared, request),
         "/position_at" => handle_position_at(store, request),
         "/knn" => handle_knn(store, request),
+        _ => Err(respond_tree(shared, request)),
+    };
+    match streamed {
+        Ok(body) => (200, Body::Json(body)),
+        Err((status, body)) => (status, Body::Json(open_object(&body))),
+    }
+}
+
+/// The endpoints whose answers are built as a [`JsonValue`] tree: small,
+/// or off the query path.
+fn respond_tree(shared: &Shared, request: &Request) -> (u16, JsonValue) {
+    let store = shared.store.as_ref();
+    match request.path.as_str() {
+        "/devices" => handle_devices(store, request),
         "/geofences" => handle_geofences(store),
         "/geofence_add" => handle_geofence_add(store, request),
         "/subscribe" => handle_subscribe(store, request),
@@ -538,11 +566,10 @@ fn respond(shared: &Shared, request: &Request) -> (u16, Body) {
                 JsonValue::from(format!("no such endpoint: {}", request.path)),
             )]),
         ),
-    };
-    (status, Body::Json(body))
+    }
 }
 
-fn bad_request(msg: impl Into<String>) -> (u16, JsonValue) {
+fn bad_request(msg: impl Into<String>) -> Rejection {
     (
         400,
         JsonValue::object([("error", JsonValue::from(msg.into()))]),
@@ -550,7 +577,7 @@ fn bad_request(msg: impl Into<String>) -> (u16, JsonValue) {
 }
 
 /// Parses a required finite f64 parameter.
-fn require_f64(request: &Request, key: &str) -> Result<f64, (u16, JsonValue)> {
+fn require_f64(request: &Request, key: &str) -> Result<f64, Rejection> {
     let raw = request
         .param(key)
         .ok_or_else(|| bad_request(format!("missing parameter '{key}'")))?;
@@ -563,7 +590,7 @@ fn require_f64(request: &Request, key: &str) -> Result<f64, (u16, JsonValue)> {
     Ok(v)
 }
 
-fn require_device(request: &Request) -> Result<u64, (u16, JsonValue)> {
+fn require_device(request: &Request) -> Result<u64, Rejection> {
     let raw = request
         .param("device")
         .ok_or_else(|| bad_request("missing parameter 'device'"))?;
@@ -572,7 +599,7 @@ fn require_device(request: &Request) -> Result<u64, (u16, JsonValue)> {
 }
 
 /// The optional `from`/`to` pair (both or neither).
-fn optional_time_range(request: &Request) -> Result<Option<(f64, f64)>, (u16, JsonValue)> {
+fn optional_time_range(request: &Request) -> Result<Option<(f64, f64)>, Rejection> {
     match (request.param("from"), request.param("to")) {
         (None, None) => Ok(None),
         (Some(_), Some(_)) => {
@@ -584,29 +611,74 @@ fn optional_time_range(request: &Request) -> Result<Option<(f64, f64)>, (u16, Js
     }
 }
 
-fn segment_json(s: &SimplifiedSegment) -> JsonValue {
-    JsonValue::object([
-        ("x0", JsonValue::from(s.segment.start.x)),
-        ("y0", JsonValue::from(s.segment.start.y)),
-        ("t0", JsonValue::from(s.segment.start.t)),
-        ("x1", JsonValue::from(s.segment.end.x)),
-        ("y1", JsonValue::from(s.segment.end.y)),
-        ("t1", JsonValue::from(s.segment.end.t)),
-        ("first_index", JsonValue::from(s.first_index)),
-        ("last_index", JsonValue::from(s.last_index)),
-    ])
+/// Appends `{"k1":v1,…` — an object of numbers, left open for more
+/// members.  Keys are static identifiers and need no escaping.
+fn write_number_members(out: &mut String, members: &[(&str, f64)]) {
+    for (i, (key, value)) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "{\"" } else { ",\"" });
+        out.push_str(key);
+        out.push_str("\":");
+        write_number(out, *value);
+    }
 }
 
-fn query_stats_json(stats: &QueryStats) -> JsonValue {
-    JsonValue::object([
-        ("blocks_in_scope", JsonValue::from(stats.blocks_in_scope)),
-        ("blocks_decoded", JsonValue::from(stats.blocks_decoded)),
-        (
-            "segments_returned",
-            JsonValue::from(stats.segments_returned),
-        ),
-        ("skip_ratio", JsonValue::from(stats.skip_ratio())),
-    ])
+/// Appends `,"key":` after an open object's earlier members.
+fn write_key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// Appends `[item,…]`, each item written by `write_item`.
+fn write_array<T>(out: &mut String, items: &[T], mut write_item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_item(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends one stored segment as a JSON object.
+fn write_segment(out: &mut String, s: &SimplifiedSegment) {
+    write_number_members(
+        out,
+        &[
+            ("x0", s.segment.start.x),
+            ("y0", s.segment.start.y),
+            ("t0", s.segment.start.t),
+            ("x1", s.segment.end.x),
+            ("y1", s.segment.end.y),
+            ("t1", s.segment.end.t),
+            ("first_index", s.first_index as f64),
+            ("last_index", s.last_index as f64),
+        ],
+    );
+    out.push('}');
+}
+
+/// Appends a store query's skip statistics as a JSON object.
+fn write_query_stats(out: &mut String, stats: &QueryStats) {
+    write_number_members(
+        out,
+        &[
+            ("blocks_in_scope", stats.blocks_in_scope as f64),
+            ("blocks_decoded", stats.blocks_decoded as f64),
+            ("segments_returned", stats.segments_returned as f64),
+            ("skip_ratio", stats.skip_ratio()),
+        ],
+    );
+    out.push('}');
+}
+
+/// A response buffer with room for `segments` streamed segments, so a
+/// large answer is not copied through a series of doublings.  Each
+/// response gets its own buffer, freed once written.
+fn response_buffer(segments: usize) -> String {
+    const SEGMENT_BYTES: usize = 160;
+    String::with_capacity(256 + segments * SEGMENT_BYTES)
 }
 
 fn record_query_stats(shared: &Shared, stats: &QueryStats) {
@@ -642,39 +714,36 @@ fn handle_devices(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
     )
 }
 
-fn handle_time_slice(store: &ShardedStore, shared: &Shared, request: &Request) -> (u16, JsonValue) {
-    let device = match require_device(request) {
-        Ok(d) => d,
-        Err(e) => return e,
-    };
-    let (from, to) = match (require_f64(request, "from"), require_f64(request, "to")) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => return e,
-    };
+fn handle_time_slice(
+    store: &ShardedStore,
+    shared: &Shared,
+    request: &Request,
+) -> Result<String, Rejection> {
+    let device = require_device(request)?;
+    let from = require_f64(request, "from")?;
+    let to = require_f64(request, "to")?;
     let slice = store.time_slice(device, from, to);
     record_query_stats(shared, &slice.stats);
-    (
-        200,
-        JsonValue::object([
-            ("device", JsonValue::from(device as f64)),
-            ("from", JsonValue::from(from)),
-            ("to", JsonValue::from(to)),
-            (
-                "segments",
-                JsonValue::Array(slice.segments.iter().map(segment_json).collect()),
-            ),
-            ("stats", query_stats_json(&slice.stats)),
-        ]),
-    )
+    let mut out = response_buffer(slice.segments.len());
+    write_number_members(
+        &mut out,
+        &[("device", device as f64), ("from", from), ("to", to)],
+    );
+    write_key(&mut out, "segments");
+    write_array(&mut out, &slice.segments, write_segment);
+    write_key(&mut out, "stats");
+    write_query_stats(&mut out, &slice.stats);
+    Ok(out)
 }
 
-fn handle_window(store: &ShardedStore, shared: &Shared, request: &Request) -> (u16, JsonValue) {
+fn handle_window(
+    store: &ShardedStore,
+    shared: &Shared,
+    request: &Request,
+) -> Result<String, Rejection> {
     let mut coords = [0.0f64; 4];
     for (slot, key) in coords.iter_mut().zip(["min_x", "min_y", "max_x", "max_y"]) {
-        *slot = match require_f64(request, key) {
-            Ok(v) => v,
-            Err(e) => return e,
-        };
+        *slot = require_f64(request, key)?;
     }
     let window = BoundingBox {
         min_x: coords[0].min(coords[2]),
@@ -682,64 +751,41 @@ fn handle_window(store: &ShardedStore, shared: &Shared, request: &Request) -> (u
         max_x: coords[0].max(coords[2]),
         max_y: coords[1].max(coords[3]),
     };
-    let time = match optional_time_range(request) {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    let q = store.planned_window_query(&shared.planner, &window, time);
+    let time = optional_time_range(request)?;
+    let q = store.window_query(&window, time);
     record_query_stats(shared, &q.stats);
-    let matches: Vec<JsonValue> = q
-        .matches
-        .iter()
-        .map(|m| {
-            JsonValue::object([
-                ("device", JsonValue::from(m.device as f64)),
-                (
-                    "segments",
-                    JsonValue::Array(m.segments.iter().map(segment_json).collect()),
-                ),
-            ])
-        })
-        .collect();
-    (
-        200,
-        JsonValue::object([
-            ("matches", JsonValue::Array(matches)),
-            ("stats", query_stats_json(&q.stats)),
-        ]),
-    )
+    let mut out = response_buffer(q.stats.segments_returned);
+    out.push_str("{\"matches\":");
+    write_array(&mut out, &q.matches, |out, m| {
+        write_number_members(out, &[("device", m.device as f64)]);
+        write_key(out, "segments");
+        write_array(out, &m.segments, write_segment);
+        out.push('}');
+    });
+    write_key(&mut out, "stats");
+    write_query_stats(&mut out, &q.stats);
+    Ok(out)
 }
 
-fn handle_position_at(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
-    let device = match require_device(request) {
-        Ok(d) => d,
-        Err(e) => return e,
-    };
-    let t = match require_f64(request, "t") {
-        Ok(v) => v,
-        Err(e) => return e,
-    };
-    let position = match store.position_at(device, t) {
-        Some(p) => JsonValue::object([
-            ("x", JsonValue::from(p.x)),
-            ("y", JsonValue::from(p.y)),
-            ("t", JsonValue::from(p.t)),
-        ]),
-        None => JsonValue::Null,
-    };
-    (
-        200,
-        JsonValue::object([
-            ("device", JsonValue::from(device as f64)),
-            ("t", JsonValue::from(t)),
-            ("position", position),
-        ]),
-    )
+fn handle_position_at(store: &ShardedStore, request: &Request) -> Result<String, Rejection> {
+    let device = require_device(request)?;
+    let t = require_f64(request, "t")?;
+    let mut out = response_buffer(0);
+    write_number_members(&mut out, &[("device", device as f64), ("t", t)]);
+    write_key(&mut out, "position");
+    match store.position_at(device, t) {
+        Some(p) => {
+            write_number_members(&mut out, &[("x", p.x), ("y", p.y), ("t", p.t)]);
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+    Ok(out)
 }
 
 /// Parses the query point set of `/knn`: either `points=x1,y1;x2,y2;…`
 /// or a single `x`/`y` pair.
-fn parse_query_points(request: &Request) -> Result<Vec<Point>, (u16, JsonValue)> {
+fn parse_query_points(request: &Request) -> Result<Vec<Point>, Rejection> {
     if let Some(raw) = request.param("points") {
         let mut points = Vec::new();
         for (i, pair) in raw.split(';').filter(|p| !p.is_empty()).enumerate() {
@@ -775,57 +821,41 @@ fn parse_query_points(request: &Request) -> Result<Vec<Point>, (u16, JsonValue)>
 /// stored trajectories are nearest the query point set, pruned on the
 /// ζ+slack metadata bound but with exact (brute-force-identical)
 /// distances.
-fn handle_knn(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
-    let query = match parse_query_points(request) {
-        Ok(q) => q,
-        Err(e) => return e,
-    };
+fn handle_knn(store: &ShardedStore, request: &Request) -> Result<String, Rejection> {
+    let query = parse_query_points(request)?;
     let k = match request.param("k").unwrap_or("1").parse::<usize>() {
         Ok(k) if k >= 1 => k,
-        _ => return bad_request("parameter 'k' must be a positive count"),
+        _ => return Err(bad_request("parameter 'k' must be a positive count")),
     };
     let result = store.knn(&query, k);
-    let neighbors: Vec<JsonValue> = result
-        .neighbors
-        .iter()
-        .map(|n| {
-            JsonValue::object([
-                ("device", JsonValue::from(n.device as f64)),
-                ("distance", JsonValue::from(n.distance)),
-            ])
-        })
-        .collect();
-    (
-        200,
-        JsonValue::object([
-            ("k", JsonValue::from(k)),
-            ("query_points", JsonValue::from(query.len())),
-            ("neighbors", JsonValue::Array(neighbors)),
-            (
-                "stats",
-                JsonValue::object([
-                    ("devices_total", JsonValue::from(result.stats.devices_total)),
-                    (
-                        "devices_pruned",
-                        JsonValue::from(result.stats.devices_pruned),
-                    ),
-                    ("blocks_total", JsonValue::from(result.stats.blocks_total)),
-                    (
-                        "blocks_decoded",
-                        JsonValue::from(result.stats.blocks_decoded),
-                    ),
-                    (
-                        "device_prune_ratio",
-                        JsonValue::from(result.stats.device_prune_ratio()),
-                    ),
-                    (
-                        "block_prune_ratio",
-                        JsonValue::from(result.stats.block_prune_ratio()),
-                    ),
-                ]),
-            ),
-        ]),
-    )
+    let stats = &result.stats;
+    let mut out = response_buffer(0);
+    write_number_members(
+        &mut out,
+        &[("k", k as f64), ("query_points", query.len() as f64)],
+    );
+    write_key(&mut out, "neighbors");
+    write_array(&mut out, &result.neighbors, |out, n| {
+        write_number_members(
+            out,
+            &[("device", n.device as f64), ("distance", n.distance)],
+        );
+        out.push('}');
+    });
+    write_key(&mut out, "stats");
+    write_number_members(
+        &mut out,
+        &[
+            ("devices_total", stats.devices_total as f64),
+            ("devices_pruned", stats.devices_pruned as f64),
+            ("blocks_total", stats.blocks_total as f64),
+            ("blocks_decoded", stats.blocks_decoded as f64),
+            ("device_prune_ratio", stats.device_prune_ratio()),
+            ("block_prune_ratio", stats.block_prune_ratio()),
+        ],
+    );
+    out.push('}');
+    Ok(out)
 }
 
 /// `GET /geofences`: the registered standing queries and the registry's
@@ -1018,54 +1048,10 @@ fn handle_stats(store: &ShardedStore, shared: &Shared) -> (u16, JsonValue) {
             ]),
         ),
     ]);
-    // The query engine: standing geofence accounting and the planner's
-    // learned predicate order.
-    let planner = shared.planner.snapshot();
+    // The query engine: standing geofence accounting.
     sections.push((
         "query",
-        JsonValue::object([
-            ("geofence", geofence_stats_json(&store.geofences().stats())),
-            (
-                "planner",
-                JsonValue::object([
-                    (
-                        "order",
-                        JsonValue::Array(
-                            planner
-                                .order
-                                .iter()
-                                .map(|&i| {
-                                    JsonValue::from(traj_store::PlannerSnapshot::predicate_name(i))
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "predicates",
-                        JsonValue::Array(
-                            planner
-                                .predicates
-                                .iter()
-                                .enumerate()
-                                .map(|(i, p)| {
-                                    JsonValue::object([
-                                        (
-                                            "name",
-                                            JsonValue::from(
-                                                traj_store::PlannerSnapshot::predicate_name(i),
-                                            ),
-                                        ),
-                                        ("evaluated", JsonValue::from(p.evaluated as f64)),
-                                        ("killed", JsonValue::from(p.killed as f64)),
-                                        ("kill_ratio", JsonValue::from(p.kill_ratio())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-        ]),
+        JsonValue::object([("geofence", geofence_stats_json(&store.geofences().stats()))]),
     ));
     // Durable stores additionally report their write-ahead log: how much
     // of the live segment is unfolded, what group commit costs, and what
@@ -1277,22 +1263,6 @@ fn render_metrics(shared: &Shared) -> String {
         &[],
         geofence.ring_evicted as f64,
     );
-    let planner = shared.planner.snapshot();
-    for (i, p) in planner.predicates.iter().enumerate() {
-        let name = traj_store::PlannerSnapshot::predicate_name(i);
-        snap.put_counter(
-            "planner_predicate_evaluations_total",
-            "Window-query block predicate evaluations, by predicate.",
-            &[("predicate", name)],
-            p.evaluated,
-        );
-        snap.put_counter(
-            "planner_predicate_kills_total",
-            "Blocks dismissed by a window-query predicate, by predicate.",
-            &[("predicate", name)],
-            p.killed,
-        );
-    }
     for (shard, blocks) in shared.store.per_shard_blocks().iter().enumerate() {
         snap.put_gauge(
             "store_shard_blocks",
@@ -1410,7 +1380,7 @@ fn span_json(s: &SpanRecord) -> JsonValue {
             JsonValue::Object(
                 s.attrs
                     .iter()
-                    .map(|(k, v)| (k.to_string(), JsonValue::from(v.as_str())))
+                    .map(|(k, v)| (k.to_string(), JsonValue::from(v.to_string())))
                     .collect(),
             ),
         ),

@@ -1,9 +1,11 @@
 //! Tests of the observability endpoints: `/metrics` Prometheus text
 //! exposition (shape, subsystem coverage, series count) and `/trace`
 //! slow-query capture (span parenting from the request root down to the
-//! store's index walk and block decodes).
+//! store's index walk, block decodes and buffer-pool fetches, and the
+//! attribute text each span carries).
 
 use std::collections::HashSet;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -11,7 +13,7 @@ use traj_geo::{DirectedSegment, Point};
 use traj_model::json::JsonValue;
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
 use traj_service::{client, Server, ServiceConfig};
-use traj_store::ShardedStore;
+use traj_store::{ShardedStore, StoreConfig};
 
 /// A straight eastbound line at `y`, `segments` segments of 100 m / 10 s.
 fn line(y: f64, segments: usize) -> SimplifiedTrajectory {
@@ -113,49 +115,109 @@ fn metrics_exposition_covers_every_subsystem() {
     server.stop();
 }
 
+/// A scratch directory unique to this test process.
+fn scratch(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("traj-service-metrics-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// A span's attributes as `(key, value text)` pairs, in recorded order.
+fn attrs(span: &JsonValue) -> Vec<(String, String)> {
+    match span.get("attrs") {
+        Some(JsonValue::Object(pairs)) => pairs
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_str().expect("attr text").to_string()))
+            .collect(),
+        other => panic!("span attrs are not an object: {other:?}"),
+    }
+}
+
+fn pairs(expected: &[(&str, &str)]) -> Vec<(String, String)> {
+    expected
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
+}
+
 #[test]
 fn slow_queries_land_in_the_trace_endpoint_with_parented_spans() {
+    // A paged store, so block decodes fetch through the buffer pool.
+    let dir = scratch("paged");
+    sample_store(4).save(&dir).unwrap();
+    let store = Arc::new(
+        ShardedStore::open_with(
+            &dir,
+            4,
+            StoreConfig::default().with_cache_bytes(Some(1 << 20)),
+        )
+        .unwrap(),
+    );
     // Threshold 0: every request is a slow query.
     let config = ServiceConfig::default().with_slow_query_threshold(Some(Duration::ZERO));
-    let server = Server::start(sample_store(4), "127.0.0.1:0", config).unwrap();
+    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
+    // The same block twice: a pool miss, then a hit.
     client::http_get(addr, "/time_slice?device=2&from=0&to=60").unwrap();
+    client::http_get(addr, "/time_slice?device=2&from=0&to=61").unwrap();
 
     let (status, body) = client::http_get(addr, "/trace").unwrap();
     assert_eq!(status, 200);
     let json = JsonValue::parse(&body).unwrap();
     let traces = json.get("traces").and_then(JsonValue::as_array).unwrap();
-    let trace = traces
-        .iter()
-        .find(|t| {
-            t.get("name")
-                .and_then(JsonValue::as_str)
-                .is_some_and(|n| n.starts_with("/time_slice"))
-        })
-        .expect("the time-slice request must be in the slow log");
-
-    // The span tree: the store's query root span, with the index walk and
-    // each block decode parented under it.
-    let spans = trace.get("spans").and_then(JsonValue::as_array).unwrap();
-    let span_named = |name: &str| {
-        spans
+    let trace_named = |name: &str| {
+        traces
             .iter()
-            .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
+            .find(|t| t.get("name").and_then(JsonValue::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} must be in the slow log"))
     };
-    let root = span_named("time_slice").expect("query root span");
-    assert_eq!(root.get("parent").and_then(JsonValue::as_f64), Some(0.0));
-    let root_id = root.get("id").and_then(JsonValue::as_f64).unwrap();
-    let walk = span_named("index_walk").expect("index walk span");
-    assert_eq!(
-        walk.get("parent").and_then(JsonValue::as_f64),
-        Some(root_id)
-    );
-    let decode = span_named("decode").expect("decode span");
-    assert_eq!(
-        decode.get("parent").and_then(JsonValue::as_f64),
-        Some(root_id)
-    );
+    let blocks_decoded = store.time_slice(2, 0.0, 60.0).stats.blocks_decoded;
+    assert_eq!(blocks_decoded, 1);
+    for (name, hit) in [
+        ("/time_slice?device=2&from=0&to=60", "false"),
+        ("/time_slice?device=2&from=0&to=61", "true"),
+    ] {
+        // The span tree: the store's query root span, with the index walk
+        // and each block decode parented under it, and the pool fetch
+        // under the decode.
+        let spans = trace_named(name)
+            .get("spans")
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        let span_named = |name: &str| {
+            spans
+                .iter()
+                .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("span {name} missing"))
+        };
+        let id = |span: &JsonValue| span.get("id").and_then(JsonValue::as_f64).unwrap();
+        let parent = |span: &JsonValue| span.get("parent").and_then(JsonValue::as_f64).unwrap();
+        let root = span_named("time_slice");
+        let walk = span_named("index_walk");
+        let decode = span_named("decode");
+        let fetch = span_named("pager_fetch");
+        assert_eq!(parent(root), 0.0);
+        assert_eq!(parent(walk), id(root));
+        assert_eq!(parent(decode), id(root));
+        assert_eq!(parent(fetch), id(decode));
+
+        // Attribute text as `/trace` has always rendered it.
+        assert_eq!(attrs(root), pairs(&[("blocks_decoded", "1")]));
+        assert_eq!(attrs(walk), pairs(&[("scope", "device_log")]));
+        let decode_attrs = attrs(decode);
+        assert_eq!(decode_attrs[0], ("format".into(), "varint".into()));
+        let (key, bytes) = &decode_attrs[1];
+        assert_eq!(key, "bytes");
+        assert!(bytes.parse::<u64>().is_ok_and(|n| n > 0), "{bytes}");
+        assert_eq!(
+            attrs(fetch),
+            pairs(&[("bytes", bytes.as_str()), ("hit", hit)]),
+            "{name}"
+        );
+    }
     server.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

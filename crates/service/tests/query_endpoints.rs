@@ -1,7 +1,7 @@
 //! End-to-end tests of the query-engine endpoints over real TCP: `/knn`
 //! ranking and pruning stats, `/geofence_add` + `/geofences` + live
-//! `/subscribe` polling while ingest runs, and the planner/geofence
-//! sections of `/stats` and `/metrics`.
+//! `/subscribe` polling while ingest runs, and the geofence sections of
+//! `/stats` and `/metrics`.
 
 use std::sync::Arc;
 
@@ -224,49 +224,8 @@ fn geofence_lifecycle_over_http_with_live_ingest() {
         "geofence_fences",
         "geofence_alerts_total",
         "knn_queries_total",
-        "planner_predicate_evaluations_total",
     ] {
         assert!(body.contains(family), "/metrics lacks {family}");
     }
-    server.stop();
-}
-
-#[test]
-fn window_queries_feed_the_shared_planner() {
-    let server = Server::start(sample_store(6), "127.0.0.1:0", ServiceConfig::default()).unwrap();
-    // A window matching nothing in time, then one matching nothing in x:
-    // both still answer 200 with empty matches, and the planner observes
-    // the kills.
-    let (status, json) = get_json(
-        &server,
-        "/window?min_x=-1e6&min_y=-1e6&max_x=1e6&max_y=1e6&from=1e8&to=2e8",
-    );
-    assert_eq!(status, 200);
-    assert_eq!(
-        json.get("matches")
-            .and_then(JsonValue::as_array)
-            .map(<[_]>::len),
-        Some(0)
-    );
-    let (_, json) = get_json(&server, "/window?min_x=150&min_y=2990&max_x=450&max_y=3010");
-    assert_eq!(
-        json.get("matches")
-            .and_then(JsonValue::as_array)
-            .map(<[_]>::len),
-        Some(1),
-        "device 3's line matches"
-    );
-    let (_, json) = get_json(&server, "/stats");
-    let planner = json.get("query").and_then(|q| q.get("planner")).unwrap();
-    let order = planner.get("order").and_then(JsonValue::as_array).unwrap();
-    assert_eq!(order.len(), 3);
-    let predicates = planner
-        .get("predicates")
-        .and_then(JsonValue::as_array)
-        .unwrap();
-    let time = &predicates[0];
-    assert_eq!(time.get("name").and_then(JsonValue::as_str), Some("time"));
-    assert!(time.get("evaluated").and_then(JsonValue::as_f64).unwrap() > 0.0);
-    assert!(time.get("killed").and_then(JsonValue::as_f64).unwrap() > 0.0);
     server.stop();
 }

@@ -1,16 +1,19 @@
 //! End-to-end tests of the query server over real TCP: the smoke check
 //! the CI gate relies on (start server → request via the test client →
 //! assert 200 + valid JSON → graceful shutdown), plus routing, error
-//! paths, concurrent clients and the ingest-while-serving path.
+//! paths, byte-identity of the streamed query answers, concurrent clients
+//! and the ingest-while-serving path.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use traj_data::{DatasetGenerator, DatasetKind};
 use traj_geo::{BoundingBox, DirectedSegment, Point};
 use traj_model::json::JsonValue;
-use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
+use traj_model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
+use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
 use traj_service::{client, Server, ServiceConfig};
-use traj_store::ShardedStore;
+use traj_store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
 
 /// A straight eastbound line at `y`, `segments` segments of 100 m / 10 s.
 fn line(y: f64, start_t: f64, segments: usize) -> SimplifiedTrajectory {
@@ -204,6 +207,238 @@ fn segments_from_json(v: Option<&JsonValue>) -> Vec<SimplifiedSegment> {
         .iter()
         .map(segment_from_json)
         .collect()
+}
+
+/// The `JsonValue` trees the query endpoints answer with, built the way
+/// the server built them before it streamed its answers: the reference
+/// the streamed bodies are compared against.
+mod tree {
+    use traj_model::json::JsonValue;
+    use traj_model::SimplifiedSegment;
+    use traj_store::{DeviceMatch, KnnResult, QueryStats};
+
+    fn segment(s: &SimplifiedSegment) -> JsonValue {
+        JsonValue::object([
+            ("x0", JsonValue::from(s.segment.start.x)),
+            ("y0", JsonValue::from(s.segment.start.y)),
+            ("t0", JsonValue::from(s.segment.start.t)),
+            ("x1", JsonValue::from(s.segment.end.x)),
+            ("y1", JsonValue::from(s.segment.end.y)),
+            ("t1", JsonValue::from(s.segment.end.t)),
+            ("first_index", JsonValue::from(s.first_index)),
+            ("last_index", JsonValue::from(s.last_index)),
+        ])
+    }
+
+    fn segments(segments: &[SimplifiedSegment]) -> JsonValue {
+        JsonValue::Array(segments.iter().map(segment).collect())
+    }
+
+    fn stats(stats: &QueryStats) -> JsonValue {
+        JsonValue::object([
+            ("blocks_in_scope", JsonValue::from(stats.blocks_in_scope)),
+            ("blocks_decoded", JsonValue::from(stats.blocks_decoded)),
+            (
+                "segments_returned",
+                JsonValue::from(stats.segments_returned),
+            ),
+            ("skip_ratio", JsonValue::from(stats.skip_ratio())),
+        ])
+    }
+
+    pub fn time_slice(
+        device: u64,
+        from: f64,
+        to: f64,
+        found: &[SimplifiedSegment],
+        query: &QueryStats,
+    ) -> JsonValue {
+        JsonValue::object([
+            ("device", JsonValue::from(device as f64)),
+            ("from", JsonValue::from(from)),
+            ("to", JsonValue::from(to)),
+            ("segments", segments(found)),
+            ("stats", stats(query)),
+        ])
+    }
+
+    pub fn window(matches: &[DeviceMatch], query: &QueryStats) -> JsonValue {
+        let matches = matches
+            .iter()
+            .map(|m| {
+                JsonValue::object([
+                    ("device", JsonValue::from(m.device as f64)),
+                    ("segments", segments(&m.segments)),
+                ])
+            })
+            .collect();
+        JsonValue::object([
+            ("matches", JsonValue::Array(matches)),
+            ("stats", stats(query)),
+        ])
+    }
+
+    pub fn position(device: u64, t: f64, found: Option<traj_geo::Point>) -> JsonValue {
+        let position = match found {
+            Some(p) => JsonValue::object([
+                ("x", JsonValue::from(p.x)),
+                ("y", JsonValue::from(p.y)),
+                ("t", JsonValue::from(p.t)),
+            ]),
+            None => JsonValue::Null,
+        };
+        JsonValue::object([
+            ("device", JsonValue::from(device as f64)),
+            ("t", JsonValue::from(t)),
+            ("position", position),
+        ])
+    }
+
+    pub fn knn(k: usize, query_points: usize, result: &KnnResult) -> JsonValue {
+        let neighbors = result
+            .neighbors
+            .iter()
+            .map(|n| {
+                JsonValue::object([
+                    ("device", JsonValue::from(n.device as f64)),
+                    ("distance", JsonValue::from(n.distance)),
+                ])
+            })
+            .collect();
+        let s = &result.stats;
+        JsonValue::object([
+            ("k", JsonValue::from(k)),
+            ("query_points", JsonValue::from(query_points)),
+            ("neighbors", JsonValue::Array(neighbors)),
+            (
+                "stats",
+                JsonValue::object([
+                    ("devices_total", JsonValue::from(s.devices_total)),
+                    ("devices_pruned", JsonValue::from(s.devices_pruned)),
+                    ("blocks_total", JsonValue::from(s.blocks_total)),
+                    ("blocks_decoded", JsonValue::from(s.blocks_decoded)),
+                    (
+                        "device_prune_ratio",
+                        JsonValue::from(s.device_prune_ratio()),
+                    ),
+                    ("block_prune_ratio", JsonValue::from(s.block_prune_ratio())),
+                ]),
+            ),
+        ])
+    }
+}
+
+/// A seeded Taxi fleet compressed by OPERB into a 4-shard store.
+fn seeded_store(
+    seed: u64,
+    devices: usize,
+    points: usize,
+) -> (Vec<(DeviceId, Trajectory)>, Arc<ShardedStore>) {
+    let generator = DatasetGenerator::for_kind(DatasetKind::Taxi, seed);
+    let fleet: Vec<(DeviceId, Trajectory)> = (0..devices)
+        .map(|i| (i as DeviceId, generator.generate_trajectory(i, points)))
+        .collect();
+    let store = Arc::new(ShardedStore::new(
+        StoreConfig::default().with_block_segments(32),
+        4,
+    ));
+    let algorithm = FleetAlgorithm::by_name("operb").unwrap();
+    compress_fleet_into_shared_store(&fleet, &PipelineConfig::new(30.0), &algorithm, &store)
+        .unwrap();
+    (fleet, store)
+}
+
+/// The body with its trailing `,"latency_us":N` member removed.
+fn without_latency(body: &str) -> String {
+    let at = body
+        .rfind(",\"latency_us\":")
+        .unwrap_or_else(|| panic!("no latency_us in {body}"));
+    let latency = &body[at + ",\"latency_us\":".len()..];
+    assert!(
+        latency.ends_with('}')
+            && latency[..latency.len() - 1]
+                .bytes()
+                .all(|b| b.is_ascii_digit()),
+        "latency_us is not the last member: {body}"
+    );
+    format!("{}}}", &body[..at])
+}
+
+#[test]
+fn streamed_answers_equal_the_tree_rendering_byte_for_byte() {
+    let (fleet, store) = seeded_store(7, 24, 240);
+    let server =
+        Server::start(Arc::clone(&store), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let mut cases: Vec<(String, JsonValue)> = Vec::new();
+    for (device, trajectory) in fleet.iter().step_by(5) {
+        let device = *device;
+        let p = trajectory.points()[trajectory.len() / 3];
+        let q = trajectory.points()[2 * trajectory.len() / 3];
+        // Slices: a middle range, everything, and a range past the data.
+        for (from, to) in [(p.t, q.t), (-1e9, 1e12), (1e11, 1e12)] {
+            let slice = store.time_slice(device, from, to);
+            cases.push((
+                format!("/time_slice?device={device}&from={from}&to={to}"),
+                tree::time_slice(device, from, to, &slice.segments, &slice.stats),
+            ));
+        }
+        // Windows around a point, with and without a time range, and one
+        // that matches nothing.
+        let around = BoundingBox {
+            min_x: p.x - 700.0,
+            min_y: p.y - 700.0,
+            max_x: p.x + 700.0,
+            max_y: p.y + 700.0,
+        };
+        let nowhere = BoundingBox {
+            min_x: 1e9,
+            min_y: 1e9,
+            max_x: 1e9 + 1.0,
+            max_y: 1e9 + 1.0,
+        };
+        for (window, time) in [(around, None), (around, Some((p.t, q.t))), (nowhere, None)] {
+            let mut path = format!(
+                "/window?min_x={}&min_y={}&max_x={}&max_y={}",
+                window.min_x, window.min_y, window.max_x, window.max_y
+            );
+            if let Some((from, to)) = time {
+                path.push_str(&format!("&from={from}&to={to}"));
+            }
+            let q = store.window_query(&window, time);
+            cases.push((path, tree::window(&q.matches, &q.stats)));
+        }
+        // Positions: a hit mid-trajectory and a miss (`null`).
+        for t in [(p.t + q.t) / 2.0, 1e12] {
+            cases.push((
+                format!("/position_at?device={device}&t={t}"),
+                tree::position(device, t, store.position_at(device, t)),
+            ));
+        }
+        // kNN from one point and from three.
+        let probe = [p, q, trajectory.points()[0]];
+        for (k, points) in [(1, &probe[..1]), (5, &probe[..])] {
+            let listed: Vec<String> = points.iter().map(|p| format!("{},{}", p.x, p.y)).collect();
+            let query: Vec<Point> = points.iter().map(|p| Point::new(p.x, p.y, 0.0)).collect();
+            cases.push((
+                format!("/knn?points={}&k={k}", listed.join(";")),
+                tree::knn(k, points.len(), &store.knn(&query, k)),
+            ));
+        }
+    }
+    let mut matched_windows = 0;
+    for (path, expected) in &cases {
+        let (status, body) = client::http_get(server.local_addr(), path).unwrap();
+        assert_eq!(status, 200, "{path}: {body}");
+        assert_eq!(without_latency(&body), expected.to_string(), "{path}");
+        if path.starts_with("/window") && !body.starts_with("{\"matches\":[]") {
+            matched_windows += 1;
+        }
+    }
+    assert!(
+        matched_windows >= 5,
+        "only {matched_windows} windows matched"
+    );
+    server.stop();
 }
 
 /// Sends one `/time_slice`, `/window` or `/position_at` request (by

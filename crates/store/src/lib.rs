@@ -81,7 +81,7 @@ pub use pager::{CacheStats, EvictionKind, EvictionPolicy};
 pub use persist::RecoveryReport;
 pub use query::{
     GeofenceAlert, GeofenceRegistry, GeofenceSpec, GeofenceStats, KnnNeighbor, KnnResult, KnnStats,
-    Planner, PlannerSnapshot, PollResult, PredicateStats, Subscription,
+    PollResult, Subscription,
 };
 pub use shard::{DurableReport, ShardedStore};
 pub use sink::{

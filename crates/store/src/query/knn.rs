@@ -39,11 +39,14 @@
 //! pruned search returns *bit-identical* distances to the brute-force
 //! reference ([`crate::TrajStore::knn_bruteforce`]).
 
+use std::sync::OnceLock;
+
 use traj_geo::{BoundingBox, Point};
+use traj_model::codec::DecodeArena;
 use traj_pipeline::DeviceId;
 
 use crate::block::BlockMeta;
-use crate::store::TrajStore;
+use crate::store::{StoredBlock, TrajStore};
 
 /// One ranked answer of a kNN query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,43 +112,41 @@ pub struct KnnResult {
     pub stats: KnnStats,
 }
 
+/// The kNN counters of the global registry: queries, devices pruned,
+/// blocks decoded.  Resolved once, so recording a query takes no registry
+/// lock and allocates nothing.
+fn global_counters() -> &'static [traj_obs::Counter; 3] {
+    static COUNTERS: OnceLock<[traj_obs::Counter; 3]> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let registry = traj_obs::Registry::global();
+        [
+            registry.counter("knn_queries_total", "kNN queries executed", &[]),
+            registry.counter(
+                "knn_devices_pruned_total",
+                "devices dismissed on the metadata lower bound alone",
+                &[],
+            ),
+            registry.counter(
+                "knn_blocks_decoded_total",
+                "block payloads decoded by kNN queries",
+                &[],
+            ),
+        ]
+    })
+}
+
 /// Registers the kNN counters in the global registry at zero, so the
 /// `/metrics` schema is stable before the first query runs.
 pub fn ensure_metrics_registered() {
-    let registry = traj_obs::Registry::global();
-    registry.counter("knn_queries_total", "kNN queries executed", &[]);
-    registry.counter(
-        "knn_devices_pruned_total",
-        "devices dismissed on the metadata lower bound alone",
-        &[],
-    );
-    registry.counter(
-        "knn_blocks_decoded_total",
-        "block payloads decoded by kNN queries",
-        &[],
-    );
+    global_counters();
 }
 
 /// Records one query's accounting into the global registry.
 pub(crate) fn record_global(stats: &KnnStats) {
-    let registry = traj_obs::Registry::global();
-    registry
-        .counter("knn_queries_total", "kNN queries executed", &[])
-        .inc();
-    registry
-        .counter(
-            "knn_devices_pruned_total",
-            "devices dismissed on the metadata lower bound alone",
-            &[],
-        )
-        .add(stats.devices_pruned as u64);
-    registry
-        .counter(
-            "knn_blocks_decoded_total",
-            "block payloads decoded by kNN queries",
-            &[],
-        )
-        .add(stats.blocks_decoded as u64);
+    let [queries, devices_pruned, blocks_decoded] = global_counters();
+    queries.inc();
+    devices_pruned.add(stats.devices_pruned as u64);
+    blocks_decoded.add(stats.blocks_decoded as u64);
 }
 
 /// Euclidean distance from `q` to the closed axis-aligned box (zero
@@ -171,12 +172,12 @@ fn block_lower_bound(q: &Point, meta: &BlockMeta) -> f64 {
 /// The device-level lower bound: for each query point the min bound over
 /// the device's blocks, averaged over the query points (the same
 /// aggregation as the exact distance, so the bound is sound for it).
-fn device_lower_bound(query: &[Point], metas: &[BlockMeta]) -> f64 {
+fn device_lower_bound(query: &[Point], blocks: &[StoredBlock]) -> f64 {
     let mut sum = 0.0;
     for q in query {
         let mut best = f64::INFINITY;
-        for meta in metas {
-            let lb = block_lower_bound(q, meta);
+        for block in blocks {
+            let lb = block_lower_bound(q, &block.meta);
             if lb < best {
                 best = lb;
             }
@@ -184,6 +185,16 @@ fn device_lower_bound(query: &[Point], metas: &[BlockMeta]) -> f64 {
         sum += best;
     }
     sum / query.len() as f64
+}
+
+/// Per-device working buffers of [`TrajStore::knn`], reused across the
+/// devices one query scores.
+#[derive(Default)]
+struct DeviceScratch {
+    /// Running minimum distance per query point.
+    current: Vec<f64>,
+    /// `(bound, block ordinal)` in visiting order.
+    order: Vec<(f64, usize)>,
 }
 
 /// Inserts `(distance, device)` into the running top-`k`, ordered by
@@ -216,23 +227,24 @@ impl TrajStore {
             return result;
         }
 
-        // Phase 1 (metadata only): a lower bound per device.
-        struct Candidate {
+        // Phase 1 (metadata only): a lower bound per device, over the
+        // device's resident block metadata (borrowed, not copied).
+        struct Candidate<'a> {
             device: DeviceId,
             bound: f64,
-            metas: Vec<BlockMeta>,
+            blocks: &'a [StoredBlock],
         }
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for device in self.devices() {
-            let metas = self.block_metas(device);
-            if metas.is_empty() {
+        let logs = self.device_blocks();
+        let mut candidates: Vec<Candidate> = Vec::with_capacity(logs.len());
+        for (device, blocks) in logs {
+            if blocks.is_empty() {
                 continue;
             }
-            result.stats.blocks_total += metas.len();
+            result.stats.blocks_total += blocks.len();
             candidates.push(Candidate {
                 device,
-                bound: device_lower_bound(query, &metas),
-                metas,
+                bound: device_lower_bound(query, blocks),
+                blocks,
             });
         }
         result.stats.devices_total = candidates.len();
@@ -241,16 +253,26 @@ impl TrajStore {
         // Phase 2: score best-first; prune the tail once the k-th exact
         // distance undercuts the remaining bounds.  Bounds ascend and the
         // k-th distance only shrinks, so the first prunable candidate
-        // prunes everything after it.
-        for (i, candidate) in candidates.iter().enumerate() {
-            if result.neighbors.len() >= k && candidate.bound > result.neighbors[k - 1].distance {
-                result.stats.devices_pruned += candidates.len() - i;
-                break;
+        // prunes everything after it.  One arena and one scratch serve
+        // every scored device.
+        let mut scratch = DeviceScratch::default();
+        self.with_arena(|arena| {
+            for (i, candidate) in candidates.iter().enumerate() {
+                if result.neighbors.len() >= k && candidate.bound > result.neighbors[k - 1].distance
+                {
+                    result.stats.devices_pruned += candidates.len() - i;
+                    break;
+                }
+                let distance = self.device_distance(
+                    candidate.blocks,
+                    query,
+                    arena,
+                    &mut scratch,
+                    &mut result.stats,
+                );
+                push_top_k(&mut result.neighbors, k, candidate.device, distance);
             }
-            let distance =
-                self.device_distance(candidate.device, &candidate.metas, query, &mut result.stats);
-            push_top_k(&mut result.neighbors, k, candidate.device, distance);
-        }
+        });
         span.attr("devices_pruned", result.stats.devices_pruned);
         span.attr("blocks_decoded", result.stats.blocks_decoded);
         result
@@ -263,46 +285,46 @@ impl TrajStore {
     /// mean — is unchanged.
     fn device_distance(
         &self,
-        device: DeviceId,
-        metas: &[BlockMeta],
+        blocks: &[StoredBlock],
         query: &[Point],
+        arena: &mut DecodeArena,
+        scratch: &mut DeviceScratch,
         stats: &mut KnnStats,
     ) -> f64 {
-        let mut current: Vec<f64> = vec![f64::INFINITY; query.len()];
+        let DeviceScratch { current, order } = scratch;
+        current.clear();
+        current.resize(query.len(), f64::INFINITY);
         // Visit blocks in ascending bound order so the minima tighten
         // early and later blocks can be skipped.
-        let mut order: Vec<(f64, usize)> = metas
-            .iter()
-            .enumerate()
-            .map(|(i, meta)| {
-                let bound = query
-                    .iter()
-                    .map(|q| block_lower_bound(q, meta))
-                    .fold(f64::INFINITY, f64::min);
-                (bound, i)
-            })
-            .collect();
+        order.clear();
+        order.extend(blocks.iter().enumerate().map(|(i, block)| {
+            let bound = query
+                .iter()
+                .map(|q| block_lower_bound(q, &block.meta))
+                .fold(f64::INFINITY, f64::min);
+            (bound, i)
+        }));
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (_, block_idx) in order {
-            let meta = &metas[block_idx];
+        for &(_, block_idx) in order.iter() {
+            let block = &blocks[block_idx];
             let useful = query
                 .iter()
                 .zip(current.iter())
-                .any(|(q, &cur)| block_lower_bound(q, meta) < cur);
+                .any(|(q, &cur)| block_lower_bound(q, &block.meta) < cur);
             if !useful {
                 continue;
             }
             stats.blocks_decoded += 1;
-            self.with_block_segments(device, block_idx, |segments| {
-                for s in segments {
-                    for (qi, q) in query.iter().enumerate() {
-                        let d = s.segment.distance_to_segment(q);
-                        if d < current[qi] {
-                            current[qi] = d;
-                        }
+            self.decode_stored(block, arena)
+                .expect("stored blocks decode");
+            for s in arena.segments() {
+                for (qi, q) in query.iter().enumerate() {
+                    let d = s.segment.distance_to_segment(q);
+                    if d < current[qi] {
+                        current[qi] = d;
                     }
                 }
-            });
+            }
         }
         current.iter().sum::<f64>() / query.len() as f64
     }

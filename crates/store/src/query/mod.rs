@@ -1,8 +1,7 @@
 //! The query engine layered on the compressed store: standing continuous
-//! geofence queries, k-nearest-trajectory search, and a selectivity-driven
-//! planner for multi-predicate window queries.
+//! geofence queries and k-nearest-trajectory search.
 //!
-//! All three exploit the same soundness property the range path uses: a
+//! Both exploit the same soundness property the range path uses: a
 //! block's [`crate::BlockMeta`] bounding box, expanded by
 //! `ζ + quantization slack`, conservatively covers every original point the
 //! block is responsible for.  That makes metadata-only pruning decisions
@@ -15,15 +14,11 @@
 //! - [`TrajStore::knn`](crate::TrajStore::knn) — k-nearest-trajectory
 //!   search with a ζ+slack lower bound that prunes whole devices and
 //!   blocks before any payload decode ([`knn`]).
-//! - [`Planner`] — orders block-level predicates by their measured kill
-//!   ratios ([`planner`]).
 
 pub mod geofence;
 pub mod knn;
-pub mod planner;
 
 pub use geofence::{
     GeofenceAlert, GeofenceRegistry, GeofenceSpec, GeofenceStats, PollResult, Subscription,
 };
 pub use knn::{KnnNeighbor, KnnResult, KnnStats};
-pub use planner::{Planner, PlannerSnapshot, PredicateStats};

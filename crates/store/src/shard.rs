@@ -56,7 +56,6 @@ use crate::pager::Pager;
 use crate::persist::RecoveryReport;
 use crate::query::geofence::GeofenceRegistry;
 use crate::query::knn::{self, KnnResult};
-use crate::query::planner::Planner;
 use crate::store::{
     MemoryStats, QueryStats, StoreConfig, StoreError, StoreStats, TimeSlice, TrajStore, WindowQuery,
 };
@@ -572,35 +571,6 @@ impl ShardedStore {
                 .read()
                 .expect("store lock poisoned")
                 .window_query(window, time);
-            merged.stats.blocks_in_scope += q.stats.blocks_in_scope;
-            merged.stats.blocks_decoded += q.stats.blocks_decoded;
-            merged.stats.segments_returned += q.stats.segments_returned;
-            merged.stats.index_candidates += q.stats.index_candidates;
-            merged.matches.extend(q.matches);
-        }
-        merged.matches.sort_by_key(|m| m.device);
-        merged
-    }
-
-    /// Fleet-wide [`TrajStore::planned_window_query`], merged over
-    /// per-shard snapshots with one shared planner (all shards feed the
-    /// same selectivity statistics).  The result is identical to
-    /// [`ShardedStore::window_query`].
-    pub fn planned_window_query(
-        &self,
-        planner: &Planner,
-        window: &BoundingBox,
-        time: Option<(f64, f64)>,
-    ) -> WindowQuery {
-        let mut merged = WindowQuery {
-            matches: Vec::new(),
-            stats: QueryStats::default(),
-        };
-        for shard in &self.shards {
-            let q = shard
-                .read()
-                .expect("store lock poisoned")
-                .planned_window_query(planner, window, time);
             merged.stats.blocks_in_scope += q.stats.blocks_in_scope;
             merged.stats.blocks_decoded += q.stats.blocks_decoded;
             merged.stats.segments_returned += q.stats.segments_returned;

@@ -11,7 +11,6 @@ use traj_pipeline::DeviceId;
 use crate::block::{expanded_intersects, write_record_header, Block, BlockMeta, META_RECORD_BYTES};
 use crate::index::{BlockRef, GridIndex};
 use crate::pager::{ArenaPool, CacheStats, EvictionKind, Pager};
-use crate::query::planner::Planner;
 use crate::wal::DurabilityMode;
 
 /// Tuning knobs of a [`TrajStore`].
@@ -498,6 +497,23 @@ impl TrajStore {
         self.logs.get(&device).map_or(0, |log| log.blocks.len())
     }
 
+    /// Every device's stored blocks, borrowed, in device order.
+    pub(crate) fn device_blocks(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (DeviceId, &[StoredBlock])> + '_ {
+        self.logs
+            .iter()
+            .map(|(&device, log)| (device, log.blocks.as_slice()))
+    }
+
+    /// Runs `f` with one pooled decode arena.
+    pub(crate) fn with_arena<R>(&self, f: impl FnOnce(&mut DecodeArena) -> R) -> R {
+        let mut arena = self.arenas.checkout();
+        let out = f(&mut arena);
+        self.arenas.checkin(arena);
+        out
+    }
+
     /// Runs `f` over the decoded segments of one stored block (by its
     /// ordinal in the device's log), through a pooled arena.  Returns
     /// `None` for an unknown device or block.
@@ -798,7 +814,7 @@ impl TrajStore {
     /// payloads come through the buffer pool; the fetched `Arc` pins the
     /// bytes for the duration of the decode, so a concurrent eviction can
     /// never free them under the decoder.
-    fn decode_stored(
+    pub(crate) fn decode_stored(
         &self,
         block: &StoredBlock,
         arena: &mut DecodeArena,
@@ -893,29 +909,6 @@ impl TrajStore {
     /// window is within `ζ + slack` of some returned segment of its
     /// device — no false negatives with respect to the stored bound.
     pub fn window_query(&self, window: &BoundingBox, time: Option<(f64, f64)>) -> WindowQuery {
-        self.window_query_impl(window, time, None)
-    }
-
-    /// [`TrajStore::window_query`] with the block-level predicates
-    /// evaluated in the planner's measured order (most selective first).
-    /// The predicate conjunction is unchanged, so the result is
-    /// identical to the unplanned query — only the short-circuit order
-    /// (and therefore the per-predicate work) differs.
-    pub fn planned_window_query(
-        &self,
-        planner: &Planner,
-        window: &BoundingBox,
-        time: Option<(f64, f64)>,
-    ) -> WindowQuery {
-        self.window_query_impl(window, time, Some(planner))
-    }
-
-    fn window_query_impl(
-        &self,
-        window: &BoundingBox,
-        time: Option<(f64, f64)>,
-        planner: Option<&Planner>,
-    ) -> WindowQuery {
         let mut query_span = traj_obs::span("window_query");
         let mut query = WindowQuery {
             matches: Vec::new(),
@@ -930,14 +923,9 @@ impl TrajStore {
         query.stats.index_candidates = candidates.len();
         for candidate in candidates {
             let block = &self.logs[&candidate.device].blocks[candidate.block];
-            let survives = match planner {
-                Some(planner) => planner.check_block(&block.meta, window, time),
-                None => {
-                    block.meta.may_intersect_window(window)
-                        && time.is_none_or(|(t0, t1)| block.meta.overlaps_time(t0, t1))
-                }
-            };
-            if !survives {
+            if !block.meta.may_intersect_window(window)
+                || time.is_some_and(|(t0, t1)| !block.meta.overlaps_time(t0, t1))
+            {
                 continue;
             }
             query.stats.blocks_decoded += 1;

@@ -1,7 +1,6 @@
 //! End-to-end tests of the query engine: exact kNN over the compressed
 //! form (pruned answers must be bit-identical to the brute-force decoded
-//! reference), the selectivity-driven window-query planner (identical
-//! answers, adapted predicate order), and standing geofence queries
+//! reference) and standing geofence queries
 //! (exactly-once alert delivery under live ingest, bounded subscriptions,
 //! cursor-based polling, and durability across reopen and crash).
 
@@ -12,8 +11,8 @@ use traj_geo::{BoundingBox, DirectedSegment, Point};
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
 use traj_store::{
-    compress_fleet_into_store, DurabilityMode, GeofenceAlert, GeofenceRegistry, Planner,
-    ShardedStore, StoreConfig, TrajStore,
+    compress_fleet_into_store, DurabilityMode, GeofenceAlert, GeofenceRegistry, ShardedStore,
+    StoreConfig, TrajStore,
 };
 
 const ZETA: f64 = 25.0;
@@ -136,91 +135,6 @@ fn sharded_knn_agrees_with_flat_store() {
             "k={k}"
         );
     }
-}
-
-// ─────────────────────────────── planner ───────────────────────────────
-
-#[test]
-fn planned_window_query_is_identical_and_adapts_its_order() {
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(2));
-    for d in 0..8u64 {
-        store
-            .ingest(d, &line(d as f64 * 100.0, 0.0, 6), 5.0)
-            .unwrap();
-    }
-    let planner = Planner::new();
-    assert_eq!(planner.order(), [0, 1, 2], "fresh planner: canonical order");
-
-    // A time range past all data: the time predicate kills every block.
-    let everywhere = region(-1e4, -1e4, 1e4, 1e4);
-    let q = store.planned_window_query(&planner, &everywhere, Some((1000.0, 2000.0)));
-    assert_eq!(q, store.window_query(&everywhere, Some((1000.0, 2000.0))));
-    assert!(q.matches.is_empty());
-    assert_eq!(planner.order(), [0, 1, 2], "time ratio 1.0 stays first");
-
-    // A window in the data's grid cells (500 m edge) but east of blocks
-    // 0 and 1 of every device: the exact x check kills 16 of 24 blocks,
-    // while the (evaluated-first) time predicate passes everywhere — its
-    // observed ratio halves below x's, so the planner reorders x first.
-    let near_miss = region(430.0, -1e4, 470.0, 1e4);
-    let q = store.planned_window_query(&planner, &near_miss, None);
-    assert_eq!(q, store.window_query(&near_miss, None));
-    assert_eq!(q.matches.len(), 8, "block 2 of every device overlaps");
-    assert_eq!(
-        planner.order(),
-        [1, 0, 2],
-        "x kills 2/3, time 1/2: x moves first ({:?})",
-        planner.snapshot()
-    );
-    // The x predicate kills the same 16 blocks wherever it sits in the
-    // order (nothing else kills in this query); the time predicate's
-    // exact count depends on when the order flips mid-walk, so only the
-    // ratio relationship is asserted.
-    let snapshot = planner.snapshot();
-    assert_eq!(snapshot.predicates[1].killed, 16);
-    assert_eq!(snapshot.predicates[1].evaluated, 24);
-    assert!(snapshot.predicates[0].kill_ratio() < snapshot.predicates[1].kill_ratio());
-
-    // Whatever the learned order, answers match the unplanned path on a
-    // spread of selective and non-selective queries.
-    let probes = [
-        (region(150.0, -50.0, 450.0, 350.0), None),
-        (region(150.0, -50.0, 450.0, 350.0), Some((15.0, 35.0))),
-        (everywhere, None),
-        (everywhere, Some((25.0, 26.0))),
-        (region(590.0, 690.0, 610.0, 710.0), Some((55.0, 60.0))),
-    ];
-    for (window, time) in probes {
-        assert_eq!(
-            store.planned_window_query(&planner, &window, time),
-            store.window_query(&window, time),
-        );
-    }
-}
-
-#[test]
-fn sharded_planned_window_query_matches_unplanned() {
-    let sharded = ShardedStore::new(StoreConfig::default().with_block_segments(2), 4);
-    for d in 0..16u64 {
-        sharded
-            .ingest(d, &line(d as f64 * 200.0, 0.0, 5), 5.0)
-            .unwrap();
-    }
-    let planner = Planner::new();
-    let probes = [
-        (region(50.0, -50.0, 350.0, 900.0), None),
-        (region(50.0, -50.0, 350.0, 900.0), Some((0.0, 20.0))),
-        (region(-1e4, -1e4, 1e4, 1e4), Some((500.0, 600.0))),
-    ];
-    for (window, time) in probes {
-        assert_eq!(
-            sharded.planned_window_query(&planner, &window, time),
-            sharded.window_query(&window, time),
-        );
-    }
-    // The shared planner saw all three probes across all shards.
-    let snapshot = planner.snapshot();
-    assert!(snapshot.predicates.iter().any(|p| p.evaluated > 0));
 }
 
 // ─────────────────────────────── geofence ──────────────────────────────

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full workspace gate: formatting, release build, the workspace tests
-# (the exact codec/store/query counts of tests/exact_counts.rs among them),
+# (the exact codec/store/query counts of tests/exact_counts.rs and the
+# per-request allocation budgets of tests/alloc_budget.rs among them),
 # the release-mode robustness, query-engine and crash-recovery suites, the
 # example and CLI smoke runs, a traced perfbench run of every workload,
 # rustdoc and clippy.  No step compares a timing against a stored baseline:
@@ -24,10 +25,13 @@ cargo test --release -q -p traj-store --test fault_injection
 cargo test --release -q -p traj-store --test concurrent_stress
 cargo test --release -q -p traj-store --test golden_e2e
 
-echo "==> query engine suites: kNN vs brute force, geofence exactly-once, planner, golden fixtures (release)"
+echo "==> query engine suites: kNN vs brute force, geofence exactly-once, golden fixtures (release)"
 cargo test --release -q -p traj-store --test query_engine
 cargo test --release -q -p traj-store --test query_golden
 cargo test --release -q -p traj-service --test query_endpoints
+
+echo "==> allocation budgets per request kind (release; the workspace tests run them in debug)"
+cargo test --release -q --test alloc_budget
 
 echo "==> crash-recovery gate: WAL crash-point sweep + SIGKILL'd live server (release)"
 cargo test --release -q -p traj-store --test crash_sweep

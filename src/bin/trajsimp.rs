@@ -513,9 +513,7 @@ fn run_query(options: &QueryOptions) -> Result<(), String> {
     );
     // Under --profile the query runs traced and the span tree (index walk,
     // pager fetches, block decodes) is printed as a stage breakdown.
-    let profile_guard = options
-        .profile
-        .then(|| trajsimp::obs::trace_begin("trajsimp query"));
+    let profile_guard = options.profile.then(trajsimp::obs::trace_begin);
     match (options.window, options.at, options.device) {
         // Spatial window query across the fleet.
         (Some(window), None, None) => {
@@ -576,7 +574,7 @@ fn run_query(options: &QueryOptions) -> Result<(), String> {
         }
     }
     if let Some(guard) = profile_guard {
-        let trace = guard.finish();
+        let trace = guard.finish("trajsimp query");
         eprintln!("profile:\n{}", trace.render_text());
     }
     if options.cache_bytes.is_some() {
