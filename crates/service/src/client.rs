@@ -1,13 +1,21 @@
 //! A minimal blocking HTTP client for tests, benchmarks and smoke checks.
 //!
-//! One request per connection, mirroring the server's `Connection: close`
-//! framing.  Responses are read to the `Content-Length` the server
-//! declares (bounded), so a stuck server surfaces as a timeout instead of
-//! a hang.
+//! Connections persist: each thread keeps one open connection per server
+//! address and sends its next request there, so a closed-loop caller pays
+//! for TCP set-up once rather than per request.  A kept connection the
+//! server has closed since (it idled out, or the server restarted) shows
+//! as a failed write, or as EOF or a reset before the first response
+//! byte; the request then goes once more on a fresh connection, which is
+//! safe because every request is an idempotent `GET`.  Responses are read
+//! to the `Content-Length` the server declares (bounded), so a stuck
+//! server surfaces as a timeout instead of a hang.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::cell::RefCell;
+use std::io::{BufRead, BufReader, IoSlice, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+use crate::http::write_all_vectored;
 
 /// Largest response body the client accepts (16 MiB) — a defense against
 /// a buggy or hostile server declaring an absurd `Content-Length`.
@@ -21,6 +29,9 @@ pub const MAX_HEADER_LINE_BYTES: u64 = 8192;
 /// See [`MAX_HEADER_LINE_BYTES`].
 pub const MAX_HEADERS: usize = 64;
 
+/// Most connections one thread keeps open; past it the oldest closes.
+const MAX_KEPT: usize = 8;
+
 /// Reads one line of at most [`MAX_HEADER_LINE_BYTES`] bytes.
 fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<usize> {
     let n = reader.take(MAX_HEADER_LINE_BYTES).read_line(line)?;
@@ -33,42 +44,141 @@ fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> std::io::R
     Ok(n)
 }
 
-/// Issues `GET path` against `addr` and returns `(status, body)`.
-/// Connect/read/write all run under `timeout`.
-///
-/// # Errors
-///
-/// `std::io::Error` for connection failures, timeouts, or a response that
-/// is not minimally well-formed HTTP.
-pub fn http_get_timeout(
-    addr: SocketAddr,
-    path: &str,
+/// An open connection to one server.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    /// The `Host` header value.
+    host: String,
+    /// The read and write timeout set on the socket.
     timeout: Duration,
-) -> std::io::Result<(u16, String)> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    stream.flush()?;
+}
 
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    if read_line_bounded(&mut reader, &mut status_line)? == 0 {
-        // The server accepted and closed without a byte of response — a
-        // crash or restart mid-exchange, not a protocol violation.  Keep
-        // the EOF error class so retry policies can treat it as
-        // transient.
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed before the status line",
-        ));
+impl Conn {
+    fn open(addr: SocketAddr, timeout: Duration) -> std::io::Result<Conn> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(Conn {
+            reader: BufReader::new(stream),
+            host: addr.to_string(),
+            timeout,
+        })
     }
-    let status: u16 = status_line
-        .split_ascii_whitespace()
-        .nth(1)
+
+    fn set_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        if timeout != self.timeout {
+            let stream = self.reader.get_ref();
+            stream.set_read_timeout(Some(timeout))?;
+            stream.set_write_timeout(Some(timeout))?;
+            self.timeout = timeout;
+        }
+        Ok(())
+    }
+}
+
+thread_local! {
+    /// This thread's open connections, by server address.
+    static KEPT: RefCell<Vec<(SocketAddr, Conn)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes this thread's kept connection to `addr`, if any.
+fn take_kept(addr: SocketAddr) -> Option<Conn> {
+    KEPT.with_borrow_mut(|kept| {
+        let i = kept.iter().position(|(a, _)| *a == addr)?;
+        Some(kept.remove(i).1)
+    })
+}
+
+/// Keeps `conn` open for this thread's next request to `addr`.
+fn keep(addr: SocketAddr, conn: Conn) {
+    KEPT.with_borrow_mut(|kept| {
+        if kept.len() == MAX_KEPT {
+            kept.remove(0);
+        }
+        kept.push((addr, conn));
+    });
+}
+
+/// One response, and whether the server keeps the connection open.
+struct Response {
+    status: u16,
+    body: String,
+    keep_alive: bool,
+}
+
+/// Why an exchange failed.
+enum Failure {
+    /// Before any response byte: the request write failed, or the
+    /// connection hit EOF or a reset.  On a kept connection this means
+    /// the server had closed it, and the request may go again.
+    BeforeResponse(std::io::Error),
+    /// Anything else, including a timeout before the first byte.
+    Other(std::io::Error),
+}
+
+impl Failure {
+    fn into_error(self) -> std::io::Error {
+        match self {
+            Failure::BeforeResponse(e) | Failure::Other(e) => e,
+        }
+    }
+}
+
+/// Sends `GET path` on `conn` and reads the whole response.
+fn exchange(conn: &mut Conn, path: &str) -> Result<Response, Failure> {
+    write_all_vectored(
+        conn.reader.get_mut(),
+        &mut [
+            IoSlice::new(b"GET "),
+            IoSlice::new(path.as_bytes()),
+            IoSlice::new(b" HTTP/1.1\r\nHost: "),
+            IoSlice::new(conn.host.as_bytes()),
+            IoSlice::new(b"\r\n\r\n"),
+        ],
+    )
+    .map_err(Failure::BeforeResponse)?;
+    match conn.reader.fill_buf() {
+        // The server closed without a byte of response: it dropped a
+        // kept connection, or crashed or restarted mid-exchange.  Keep
+        // the EOF error class so retry policies treat it as transient.
+        Ok([]) => {
+            return Err(Failure::BeforeResponse(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed before the status line",
+            )))
+        }
+        Ok(_) => {}
+        Err(e) if closed(e.kind()) => return Err(Failure::BeforeResponse(e)),
+        Err(e) => return Err(Failure::Other(e)),
+    }
+    read_response(&mut conn.reader).map_err(Failure::Other)
+}
+
+/// Whether an error class means the peer closed the connection.
+fn closed(kind: std::io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::ConnectionAborted
+            | std::io::ErrorKind::BrokenPipe
+            | std::io::ErrorKind::UnexpectedEof
+    )
+}
+
+/// Reads a status line, headers and a body from `reader`.
+fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<Response> {
+    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
+    let mut status_line = String::new();
+    read_line_bounded(reader, &mut status_line)?;
+    if !status_line.ends_with('\n') {
+        return Err(bad("connection closed inside the status line"));
+    }
+    let mut fields = status_line.split_ascii_whitespace();
+    // An HTTP/1.0 server closes after the response unless told otherwise.
+    let mut keep_alive = fields.next() == Some("HTTP/1.1");
+    let status: u16 = fields
+        .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("malformed status line"))?;
     let mut content_length: Option<usize> = None;
@@ -76,7 +186,7 @@ pub fn http_get_timeout(
     let mut line = status_line;
     loop {
         line.clear();
-        if read_line_bounded(&mut reader, &mut line)? == 0 {
+        if read_line_bounded(reader, &mut line)? == 0 {
             return Err(bad("connection closed inside headers"));
         }
         let line = line.trim_end();
@@ -88,13 +198,18 @@ pub fn http_get_timeout(
             return Err(bad("too many response headers"));
         }
         if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("content-length") {
                 content_length = Some(
                     value
                         .trim()
                         .parse()
                         .map_err(|_| bad("malformed content-length"))?,
                 );
+            } else if name.eq_ignore_ascii_case("connection") {
+                keep_alive = !value
+                    .split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case("close"));
             }
         }
     }
@@ -108,6 +223,7 @@ pub fn http_get_timeout(
         // No declared length: the server closes the connection after the
         // body; read to EOF (still bounded).
         None => {
+            keep_alive = false;
             reader
                 .take(MAX_BODY_BYTES as u64 + 1)
                 .read_to_end(&mut body)?;
@@ -116,9 +232,50 @@ pub fn http_get_timeout(
             }
         }
     }
-    String::from_utf8(body)
-        .map(|text| (status, text))
-        .map_err(|_| bad("non-UTF-8 response body"))
+    let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 response body"))?;
+    Ok(Response {
+        status,
+        body,
+        keep_alive,
+    })
+}
+
+/// Issues `GET path` against `addr` and returns `(status, body)`, on
+/// this thread's kept connection to `addr` when it has one.  Connect,
+/// read and write all run under `timeout`.
+///
+/// # Errors
+///
+/// `std::io::Error` for connection failures, timeouts, or a response that
+/// is not minimally well-formed HTTP.
+pub fn http_get_timeout(
+    addr: SocketAddr,
+    path: &str,
+    timeout: Duration,
+) -> std::io::Result<(u16, String)> {
+    let kept = take_kept(addr).and_then(|mut conn| {
+        conn.set_timeout(timeout).ok()?;
+        match exchange(&mut conn, path) {
+            // The server had closed the kept connection: retry once on a
+            // fresh one below.
+            Err(Failure::BeforeResponse(_)) => None,
+            result => Some((conn, result)),
+        }
+    });
+    let (conn, result) = match kept {
+        Some(outcome) => outcome,
+        None => {
+            let mut conn = Conn::open(addr, timeout)?;
+            let result = exchange(&mut conn, path);
+            (conn, result)
+        }
+    };
+    let response = result.map_err(Failure::into_error)?;
+    // Bytes past the declared body would be misread as the next response.
+    if response.keep_alive && conn.reader.buffer().is_empty() {
+        keep(addr, conn);
+    }
+    Ok((response.status, response.body))
 }
 
 /// [`http_get_timeout`] with a 10-second default.
@@ -181,14 +338,7 @@ impl RetryPolicy {
 /// responses and timeouts are not retried — the former will not improve,
 /// the latter already cost the caller its patience once.
 fn transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::ConnectionRefused
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::UnexpectedEof
-    )
+    kind == std::io::ErrorKind::ConnectionRefused || closed(kind)
 }
 
 /// xorshift64* — a tiny deterministic PRNG for jitter (no external

@@ -2,12 +2,19 @@
 //! localhost TCP with no external crates.
 //!
 //! Supported: `GET` requests, a request line plus headers (bodies are
-//! rejected), percent-encoded query strings, `Content-Length`-framed
-//! responses on connections that close after one exchange.  Every input
-//! dimension is bounded — line length, header count, total header bytes —
-//! so a misbehaving client cannot make the server buffer unbounded data.
+//! rejected), percent-encoded query strings, and `Content-Length`-framed
+//! responses on persistent connections.  A [`Connection`] carries one
+//! request after another, pipelined ones included, until the client sends
+//! `Connection: close` or speaks HTTP/1.0.  Every input dimension is
+//! bounded — line length, header count, and the time from a request's
+//! first byte to the end of its headers — so a misbehaving client can
+//! neither make the server buffer unbounded data nor hold a reader by
+//! trickling bytes.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Longest accepted request line or header line, in bytes.
 pub const MAX_LINE_BYTES: usize = 8192;
@@ -65,6 +72,9 @@ pub struct Request {
     pub path: String,
     /// Decoded `key=value` query parameters, in order of appearance.
     pub params: Vec<(String, String)>,
+    /// Whether the client keeps the connection open after the answer:
+    /// HTTP/1.1 without `Connection: close`.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -170,6 +180,7 @@ fn parse_target(target: &str) -> Request {
     Request {
         path: percent_decode(path),
         params,
+        keep_alive: true,
     }
 }
 
@@ -194,6 +205,8 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
             "unsupported protocol {version}"
         )));
     }
+    // HTTP/1.0 closes after one exchange; HTTP/1.1 persists unless told.
+    let mut keep_alive = version != "HTTP/1.0";
     // Drain headers (bounded); reject requests that carry a body — every
     // endpoint is a read-only GET.
     let mut headers = 0;
@@ -207,17 +220,127 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
             return Err(HttpError::TooLarge);
         }
         if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length")
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("content-length")
                 && value.trim().parse::<u64>().map_or(true, |n| n > 0)
             {
                 return Err(HttpError::Malformed("request bodies not supported".into()));
+            }
+            if name.eq_ignore_ascii_case("connection")
+                && value
+                    .split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case("close"))
+            {
+                keep_alive = false;
             }
         }
     }
     if method != "GET" {
         return Err(HttpError::UnsupportedMethod(method.to_string()));
     }
-    Ok(parse_target(target))
+    Ok(Request {
+        keep_alive,
+        ..parse_target(target)
+    })
+}
+
+/// The read side of a [`Connection`]: reads wait at most the idle
+/// deadline between requests, and all reads of one request's head share
+/// a single deadline.
+struct DeadlineReader {
+    stream: Arc<TcpStream>,
+    io_timeout: Duration,
+    /// When the current request's head must be complete; `None` while
+    /// idle between requests.
+    deadline: Option<Instant>,
+    /// The read timeout last set on the socket, so that it is set only
+    /// when it changes.
+    timeout: Duration,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let timeout = match self.deadline {
+            None => self.io_timeout,
+            Some(deadline) => deadline
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+                .ok_or_else(|| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        "request head not complete within the deadline",
+                    )
+                })?,
+        };
+        if timeout != self.timeout {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.timeout = timeout;
+        }
+        (&*self.stream).read(buf)
+    }
+}
+
+/// The server side of one persistent connection.  `io_timeout` bounds
+/// the idle wait for each request, the time from a request's first byte
+/// to the end of its headers, and each write.
+pub struct Connection {
+    reader: BufReader<DeadlineReader>,
+}
+
+impl Connection {
+    /// Wraps an accepted stream, with Nagle's algorithm off so that a
+    /// response is not held back waiting for the client's ACK.
+    ///
+    /// # Errors
+    ///
+    /// The socket options could not be set.
+    pub fn new(stream: Arc<TcpStream>, io_timeout: Duration) -> std::io::Result<Connection> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        Ok(Connection {
+            reader: BufReader::new(DeadlineReader {
+                stream,
+                io_timeout,
+                deadline: None,
+                timeout: io_timeout,
+            }),
+        })
+    }
+
+    /// Waits, at most `io_timeout`, for the next request's first byte,
+    /// then reads the request within `io_timeout` of that byte.  Returns
+    /// when that first byte was seen, and the parse; `None` when the
+    /// client closed the connection or it idled out first.  An
+    /// [`HttpError::Io`] (the deadline passed, or the socket failed)
+    /// leaves a partial request consumed: close the connection.
+    pub fn next_request(&mut self) -> Option<(Instant, Result<Request, HttpError>)> {
+        self.reader.get_mut().deadline = None;
+        match self.reader.fill_buf() {
+            Ok(buf) if !buf.is_empty() => {}
+            _ => return None,
+        }
+        let started = Instant::now();
+        let reader = self.reader.get_mut();
+        reader.deadline = Some(started + reader.io_timeout);
+        Some((started, read_request(&mut self.reader)))
+    }
+
+    /// Writes one response; see [`write_response`].
+    ///
+    /// # Errors
+    ///
+    /// Socket errors, including the write timeout.
+    pub fn write_response(
+        &mut self,
+        status: u16,
+        content_type: &str,
+        body: &str,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
+        let mut stream = &*self.reader.get_ref().stream;
+        write_response(&mut stream, status, content_type, body, keep_alive)
+    }
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -234,33 +357,83 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response with `Connection: close` framing.  Socket
-/// errors are returned for the caller to count; there is nothing else a
-/// one-shot connection can do about them.
+/// Writes one JSON response; see [`write_response`].
+///
+/// # Errors
+///
+/// Socket errors, for the caller to count or drop.
 pub fn write_json_response(
     stream: &mut impl Write,
     status: u16,
     body: &str,
+    keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_response(stream, status, "application/json", body)
+    write_response(stream, status, "application/json", body, keep_alive)
 }
+
+/// Longest response head [`write_response`] renders: the status line and
+/// three headers, whose only open-ended part is the content type.
+const MAX_HEAD_BYTES: usize = 256;
 
 /// Writes one length-framed response with an explicit content type —
 /// `/metrics` serves Prometheus text exposition, everything else JSON.
+/// `Connection: keep-alive` tells the client the connection stays open,
+/// `Connection: close` that the server closes it after this response.
+/// Head and body leave in one vectored write, so on a connection that
+/// stays open the body never waits for the client's delayed ACK of the
+/// head.
+///
+/// # Errors
+///
+/// Socket errors, and `InvalidInput` for a content type too long for the
+/// head buffer.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
+    keep_alive: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let mut head = [0u8; MAX_HEAD_BYTES];
+    let mut free = &mut head[..];
+    write!(
+        free,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         reason(status),
         body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+        if keep_alive { "keep-alive" } else { "close" },
+    )
+    .map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "response head exceeds its buffer",
+        )
+    })?;
+    let head_len = MAX_HEAD_BYTES - free.len();
+    write_all_vectored(
+        stream,
+        &mut [
+            IoSlice::new(&head[..head_len]),
+            IoSlice::new(body.as_bytes()),
+        ],
+    )?;
     stream.flush()
+}
+
+/// Writes every byte of `parts`, in as few calls as the socket allows.
+pub(crate) fn write_all_vectored(
+    stream: &mut impl Write,
+    mut parts: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    while !parts.is_empty() {
+        match stream.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -361,12 +534,77 @@ mod tests {
     }
 
     #[test]
+    fn keep_alive_follows_version_and_connection_header() {
+        let keep = |raw: &str| parse(raw).unwrap().keep_alive;
+        assert!(keep("GET / HTTP/1.1\r\nHost: x\r\n\r\n"));
+        assert!(keep("GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"));
+        assert!(!keep("GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(!keep(
+            "GET / HTTP/1.1\r\nconnection: Upgrade, Close\r\n\r\n"
+        ));
+        assert!(!keep("GET / HTTP/1.0\r\n\r\n"));
+        assert!(!keep("GET /\r\n\r\n"));
+    }
+
+    #[test]
+    fn pipelined_requests_parse_one_after_another() {
+        let mut reader = BufReader::new(
+            &b"GET /a HTTP/1.1\r\n\r\nGET /b?k=1 HTTP/1.1\r\nConnection: close\r\n\r\n"[..],
+        );
+        let first = read_request(&mut reader).unwrap();
+        let second = read_request(&mut reader).unwrap();
+        assert_eq!((first.path.as_str(), first.keep_alive), ("/a", true));
+        assert_eq!((second.path.as_str(), second.keep_alive), ("/b", false));
+        assert_eq!(second.param("k"), Some("1"));
+        assert!(reader.fill_buf().unwrap().is_empty());
+    }
+
+    #[test]
     fn response_is_length_framed() {
+        for (keep_alive, connection) in [(true, "keep-alive"), (false, "close")] {
+            let mut out = Vec::new();
+            write_json_response(&mut out, 200, "{\"ok\":true}", keep_alive).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+            assert!(text.contains("Content-Length: 11\r\n"));
+            assert!(text.contains(&format!("Connection: {connection}\r\n")));
+            assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        }
+    }
+
+    /// Accepts at most `limit` bytes per write call.
+    struct Dribble {
+        out: Vec<u8>,
+        limit: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.limit);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_send_the_whole_response() {
+        let body = "x".repeat(1000);
+        let mut whole = Vec::new();
+        write_response(&mut whole, 200, "text/plain", &body, true).unwrap();
+        for limit in [1, 7, 64, 4096] {
+            let mut dribble = Dribble {
+                out: Vec::new(),
+                limit,
+            };
+            write_response(&mut dribble, 200, "text/plain", &body, true).unwrap();
+            assert_eq!(dribble.out, whole, "{limit} bytes per write");
+        }
         let mut out = Vec::new();
-        write_json_response(&mut out, 200, "{\"ok\":true}").unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 11\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        let too_long = "t".repeat(MAX_HEAD_BYTES);
+        assert!(write_response(&mut out, 200, &too_long, "", false).is_err());
     }
 }

@@ -19,18 +19,22 @@
 //! | `GET /stats` | — | store totals + server counters |
 //! | `GET /shutdown` | — | acknowledges, then stops the server gracefully |
 //!
-//! Every response is JSON, carries the handler's `latency_us` (request
-//! parsing, the store call and body encoding), and query endpoints
+//! Every response is JSON, carries the handler's `latency_us` (from the
+//! request's first byte: parsing, the store call and body encoding), and
+//! query endpoints
 //! report how many blocks the data-skipping metadata pruned.  The query
 //! endpoints write their answer straight into the response buffer; the
 //! bytes are those a [`traj_model::json::JsonValue`] tree would render.
 //! Device ids are emitted as JSON numbers, so like every JSON consumer
 //! the API round-trips them exactly only up to 2⁵³ — fleets using hashed
 //! 64-bit ids above that need a string-id format change first.
-//! Request parsing is bounded (line length, header count), the worker
-//! pool is bounded (overflow connections get an immediate `503`), and
-//! responses are `Content-Length`-framed on close-after-one-exchange
-//! connections.
+//! Connections are persistent HTTP/1.1 (`Content-Length`-framed, closed
+//! on `Connection: close`, HTTP/1.0, shutdown or an idle `io_timeout`).
+//! Each open connection has its own thread, which holds one of `workers`
+//! handler permits only while answering, so an idle or slow client never
+//! stalls the queries of others.  Request parsing is bounded (line
+//! length, header count, a header deadline), and so are open connections
+//! (`workers + queue_depth`; any further one gets an immediate `503`).
 //!
 //! ## Consistency model
 //!

@@ -1,11 +1,11 @@
-//! The multi-threaded TCP server: accept loop, bounded worker pool,
-//! JSON endpoints over a shared [`ShardedStore`], graceful shutdown.
+//! The multi-threaded TCP server: an accept loop that admits a bounded
+//! number of persistent connections, one thread per open connection,
+//! handler permits that bound the requests answered at once, JSON
+//! endpoints over a shared [`ShardedStore`], and graceful shutdown.
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -15,7 +15,7 @@ use traj_model::SimplifiedSegment;
 use traj_obs::{Gauge, Histogram, Registry, SpanRecord, Trace};
 use traj_store::{GeofenceAlert, GeofenceRegistry, QueryStats, ShardedStore};
 
-use crate::http::{read_request, write_json_response, write_response, Request};
+use crate::http::{write_json_response, Connection, HttpError, Request};
 
 /// `Content-Type` for `/metrics` (Prometheus text exposition format).
 const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -23,13 +23,20 @@ const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads answering requests.
+    /// Requests answered at once.  Every open connection has its own
+    /// thread, which holds one of `workers` handler permits only while it
+    /// answers a request; idle and header-reading connections hold none.
     pub workers: usize,
-    /// Accepted connections queued ahead of the workers; beyond this the
-    /// accept loop answers `503` immediately instead of buffering without
-    /// bound (the closed-loop backpressure of the serving layer).
+    /// Open connections allowed beyond `workers`: at most `workers +
+    /// queue_depth` connections are open at once, and the accept loop
+    /// answers any further one with `503` immediately instead of holding
+    /// connections without bound (the closed-loop backpressure of the
+    /// serving layer).
     pub queue_depth: usize,
-    /// Per-connection socket read/write timeout.
+    /// The idle deadline and the header deadline of a connection: it
+    /// closes after this long without a request, and a request's line
+    /// and headers must arrive within this long of its first byte.  Also
+    /// the timeout of each socket write.
     pub io_timeout: Duration,
     /// Whether `GET /shutdown` stops the server.  On by default: the
     /// server binds loopback for this repo's deployments, and a clean
@@ -40,7 +47,7 @@ pub struct ServiceConfig {
     /// `None` disables tracing entirely (spans cost one thread-local check
     /// each).  Every request is traced while this is set, but a trace
     /// that stays under the threshold is discarded without allocating:
-    /// its spans reuse the worker thread's buffers, and the trace name is
+    /// its spans reuse the connection thread's buffers, and the trace name is
     /// built only for a trace the log keeps.
     pub slow_query: Option<Duration>,
 }
@@ -58,13 +65,14 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Overrides the worker count (clamped to ≥ 1).
+    /// Overrides the handler permit count (clamped to ≥ 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
     }
 
-    /// Overrides the connection queue depth (clamped to ≥ 1).
+    /// Overrides the open connections allowed beyond the handler permits
+    /// (clamped to ≥ 1).
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth.max(1);
         self
@@ -77,9 +85,9 @@ impl ServiceConfig {
     }
 }
 
-/// Cumulative request counters, updated by the workers and readable while
-/// the server runs (all relaxed atomics — these are statistics, not
-/// synchronization).
+/// Cumulative request counters, updated by the connection threads and
+/// readable while the server runs (all relaxed atomics — these are
+/// statistics, not synchronization).
 #[derive(Debug, Default)]
 struct Counters {
     requests: AtomicU64,
@@ -101,7 +109,8 @@ pub struct ServerStats {
     pub client_errors: u64,
     /// Responses with a 5xx status.
     pub server_errors: u64,
-    /// Connections refused with `503` because the queue was full.
+    /// Connections refused with `503` because `workers + queue_depth`
+    /// connections were already open.
     pub rejected: u64,
     /// Sum of handler latencies, microseconds.
     pub latency_us_total: u64,
@@ -200,7 +209,7 @@ impl EndpointMetrics {
     }
 }
 
-/// Everything a worker needs to answer requests.
+/// Everything a connection thread needs to answer requests.
 struct Shared {
     store: Arc<ShardedStore>,
     counters: Counters,
@@ -215,13 +224,31 @@ struct Shared {
     registry: Registry,
     endpoints: EndpointMetrics,
     queue_depth: Gauge,
+    /// The open connections, so that shutdown can close their read sides.
+    /// Its length is the admission count.
+    open: Mutex<Vec<Arc<TcpStream>>>,
+    /// Handler permits left: `workers` minus the requests being answered.
+    permits: Mutex<usize>,
+    permit_freed: Condvar,
+}
+
+/// Locks `mutex`, ignoring poison: every value guarded here (a list of
+/// streams, a permit count) stays consistent whatever panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
-    /// Flags shutdown and wakes the blocking `accept` with a throwaway
-    /// connection so the accept loop observes the flag promptly.
+    /// Flags shutdown, closes the read side of every open connection so
+    /// that idle ones end at once, and wakes the blocking `accept` with a
+    /// throwaway connection so the accept loop observes the flag promptly.
     fn signal_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
+            // The accept loop checks the flag under this lock before it
+            // registers a connection, so none escapes this sweep.
+            for stream in lock(&self.open).iter() {
+                let _ = stream.shutdown(std::net::Shutdown::Read);
+            }
             // A listener bound to the unspecified address (0.0.0.0 / ::)
             // is not itself connectable everywhere; wake it via loopback.
             let mut wake = self.addr;
@@ -232,6 +259,52 @@ impl Shared {
                 });
             }
             let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
+    }
+
+    /// Takes a handler permit, waiting while all `workers` are in use;
+    /// the permit returns when the guard drops.
+    fn acquire_permit(&self) -> Permit<'_> {
+        let mut free = lock(&self.permits);
+        if *free == 0 {
+            self.queue_depth.add(1);
+            while *free == 0 {
+                free = self
+                    .permit_freed
+                    .wait(free)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            self.queue_depth.add(-1);
+        }
+        *free -= 1;
+        Permit { shared: self }
+    }
+}
+
+/// A held handler permit.
+struct Permit<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock(&self.shared.permits) += 1;
+        self.shared.permit_freed.notify_one();
+    }
+}
+
+/// An admitted connection; dropping it removes the stream from the open
+/// list, which closes the socket once the connection thread is done.
+struct Admitted {
+    shared: Arc<Shared>,
+    stream: Arc<TcpStream>,
+}
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        let mut open = lock(&self.shared.open);
+        if let Some(i) = open.iter().position(|s| Arc::ptr_eq(s, &self.stream)) {
+            open.swap_remove(i);
         }
     }
 }
@@ -245,12 +318,11 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), spawns the accept
-    /// loop and `config.workers` workers, and starts serving `store`.
+    /// loop, and starts serving `store`.
     ///
     /// # Errors
     ///
@@ -263,7 +335,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let queue_depth = config.queue_depth.max(1);
         // Pipeline ingest counters live in the process-global registry;
         // make sure the aggregate series exist (at zero) before the first
         // scrape even if no pipeline ran in this process.
@@ -274,7 +345,7 @@ impl Server {
         let endpoints = EndpointMetrics::register(&registry);
         let depth_gauge = registry.gauge(
             "service_queue_depth",
-            "Accepted connections currently queued ahead of the workers.",
+            "Requests waiting for a handler permit.",
             &[],
         );
         let shared = Arc::new(Shared {
@@ -287,30 +358,19 @@ impl Server {
             registry,
             endpoints,
             queue_depth: depth_gauge,
+            open: Mutex::new(Vec::new()),
+            permits: Mutex::new(workers),
+            permit_freed: Condvar::new(),
         });
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let worker_handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("traj-service-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-                    .expect("spawn worker thread")
-            })
-            .collect();
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("traj-service-accept".to_string())
-            .spawn(move || accept_loop(&accept_shared, &listener, &tx))
+            .spawn(move || accept_loop(&accept_shared, &listener))
             .expect("spawn accept thread");
 
         Ok(Server {
             shared,
             accept_thread: Some(accept_thread),
-            workers: worker_handles,
         })
     }
 
@@ -324,22 +384,21 @@ impl Server {
         snapshot(&self.shared)
     }
 
-    /// Requests a graceful stop: the accept loop closes, queued
-    /// connections are still answered, workers then exit.  Returns
-    /// immediately; use [`Server::join`] to wait.
+    /// Requests a graceful stop: the accept loop closes, idle connections
+    /// close, and requests already read are still answered (with
+    /// `Connection: close`).  Returns immediately; use [`Server::join`]
+    /// to wait.
     pub fn shutdown(&self) {
         self.shared.signal_shutdown();
     }
 
     /// Blocks until the server has stopped (via [`Server::shutdown`] or
-    /// the `/shutdown` endpoint) and every worker has drained.  Returns
+    /// the `/shutdown` endpoint) and every connection has closed.  Returns
     /// the final counter snapshot.
     pub fn join(mut self) -> ServerStats {
+        // The accept thread joins the connection threads before it ends.
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+            h.join().expect("the accept loop does not panic");
         }
         snapshot(&self.shared)
     }
@@ -366,13 +425,44 @@ fn snapshot(shared: &Shared) -> ServerStats {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
+/// Admits connections until shutdown, then joins every connection
+/// thread it started.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    let mut threads = Vec::new();
+    while let Some(connection) = accept_next(shared, listener) {
+        // Join the threads whose connections have closed, so the list
+        // stays as short as the open-connection bound.
+        threads
+            .extract_if(.., |t: &mut JoinHandle<()>| t.is_finished())
+            .for_each(join_connection);
+        // A failed spawn drops the closure, and with it the registration.
+        if let Ok(thread) = std::thread::Builder::new()
+            .name("traj-service-conn".to_string())
+            .spawn(move || serve_connection(&connection))
+        {
+            threads.push(thread);
+        }
+    }
+    threads.into_iter().for_each(join_connection);
+}
+
+/// Joins a connection thread.  A handler that panicked has already been
+/// reported by the panic hook and has ended only its own connection; the
+/// server goes on.
+fn join_connection(thread: JoinHandle<()>) {
+    let _ = thread.join();
+}
+
+/// Accepts the next connection and registers it, answering `503` to any
+/// beyond the open-connection bound; `None` once the server shuts down.
+fn accept_next(shared: &Arc<Shared>, listener: &TcpListener) -> Option<Admitted> {
+    let max_open = shared.config.workers.max(1) + shared.config.queue_depth.max(1);
     loop {
         let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
+            Ok((stream, _)) => Arc::new(stream),
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
+                    return None;
                 }
                 // Persistent accept errors (e.g. the process is out of
                 // file descriptors) must not busy-spin the core; back off
@@ -381,38 +471,30 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStrea
                 continue;
             }
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // The wake-up connection (or a client racing the stop): do not
-            // queue new work.
-            return;
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {
-                shared.queue_depth.add(1);
+        {
+            let mut open = lock(&shared.open);
+            if shared.shutdown.load(Ordering::SeqCst) {
+                // The wake-up connection (or a client racing the stop):
+                // take no new connections.
+                return None;
             }
-            Err(TrySendError::Full(mut stream)) => {
-                // Bounded pool: refuse instead of buffering without bound.
-                shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-                let _ = write_json_response(&mut stream, 503, "{\"error\":\"server overloaded\"}");
+            if open.len() < max_open {
+                open.push(Arc::clone(&stream));
+                return Some(Admitted {
+                    shared: Arc::clone(shared),
+                    stream,
+                });
             }
-            Err(TrySendError::Disconnected(_)) => return,
         }
-    }
-    // tx drops here; workers drain the queue and exit.
-}
-
-fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
-    loop {
-        // Hold the lock only for the recv; handling runs unlocked so
-        // workers truly serve in parallel.
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(stream) = stream else { return };
-        shared.queue_depth.add(-1);
-        handle_connection(shared, stream);
+        // Bounded: refuse instead of holding connections without bound.
+        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
+        let _ = write_json_response(
+            &mut &*stream,
+            503,
+            "{\"error\":\"server overloaded\"}",
+            false,
+        );
     }
 }
 
@@ -459,66 +541,88 @@ fn trace_name(request: &Request) -> String {
     format!("{}?{}", request.path, query.join("&"))
 }
 
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-    let started = Instant::now();
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let (status, body, endpoint_path) = match read_request(&mut reader) {
-        Ok(request) => {
-            // Trace the whole handler when tracing is on; only a trace past
-            // the threshold is collected (and named) for the slow log.
-            let tracing = shared
-                .config
-                .slow_query
-                .map(|threshold| (traj_obs::trace_begin(), threshold));
-            let (status, body) = respond(shared, &request);
-            if let Some((guard, threshold)) = tracing {
-                if Duration::from_micros(guard.elapsed_us()) >= threshold {
-                    traj_obs::slow_log().push(guard.finish(trace_name(&request)));
-                }
-            }
-            (status, body, Some(request.path))
-        }
-        Err(e) => (
-            e.status(),
-            Body::Json(open_object(&JsonValue::object([(
-                "error",
-                JsonValue::from(e.to_string()),
-            )]))),
-            None,
-        ),
+/// Answers the requests of one connection in order, until the client or
+/// the server ends it.  Only [`respond`] runs under a handler permit:
+/// waiting for a request and reading its head hold none.
+fn serve_connection(connection: &Admitted) {
+    let shared = connection.shared.as_ref();
+    let Ok(mut conn) = Connection::new(Arc::clone(&connection.stream), shared.config.io_timeout)
+    else {
+        return;
     };
-    // The latency covers parsing, the store call and body encoding.
-    let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let c = &shared.counters;
-    c.requests.fetch_add(1, Ordering::Relaxed);
-    c.latency_us_total.fetch_add(latency_us, Ordering::Relaxed);
-    shared
-        .endpoints
-        .for_path(endpoint_path.as_deref().unwrap_or("other"))
-        .record(latency_us);
-    match status {
-        400..=499 => {
-            c.client_errors.fetch_add(1, Ordering::Relaxed);
+    // `started` is when the request's first byte was available, so the
+    // latency covers reading the head, the permit wait, the store call
+    // and body encoding, but not the idle time before the request.
+    while let Some((started, parsed)) = conn.next_request() {
+        let (status, body, endpoint, keep_alive) = match parsed {
+            Ok(request) => {
+                let (status, body) = {
+                    let _permit = shared.acquire_permit();
+                    traced_respond(shared, &request)
+                };
+                (
+                    status,
+                    body,
+                    shared.endpoints.for_path(&request.path),
+                    request.keep_alive,
+                )
+            }
+            // The header deadline passed or the socket failed: a partial
+            // request was consumed, so the connection cannot go on.
+            Err(HttpError::Io(_)) => return,
+            // The rest of a rejected request is unknown: answer and close.
+            Err(e) => (
+                e.status(),
+                Body::Json(open_object(&JsonValue::object([(
+                    "error",
+                    JsonValue::from(e.to_string()),
+                )]))),
+                &shared.endpoints.other,
+                false,
+            ),
+        };
+        let keep_alive = keep_alive && !shared.shutdown.load(Ordering::SeqCst);
+        let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let c = &shared.counters;
+        c.requests.fetch_add(1, Ordering::Relaxed);
+        c.latency_us_total.fetch_add(latency_us, Ordering::Relaxed);
+        endpoint.record(latency_us);
+        match status {
+            400..=499 => {
+                c.client_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            500..=599 => {
+                c.server_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
         }
-        500..=599 => {
-            c.server_errors.fetch_add(1, Ordering::Relaxed);
+        let written = match body {
+            Body::Json(mut body) => {
+                close_with_latency(&mut body, latency_us);
+                conn.write_response(status, "application/json", &body, keep_alive)
+            }
+            Body::Text(text) => {
+                conn.write_response(status, METRICS_CONTENT_TYPE, &text, keep_alive)
+            }
+        };
+        if written.is_err() || !keep_alive {
+            return;
         }
-        _ => {}
     }
-    match body {
-        Body::Json(mut body) => {
-            close_with_latency(&mut body, latency_us);
-            let _ = write_json_response(&mut stream, status, &body);
-        }
-        Body::Text(text) => {
-            let _ = write_response(&mut stream, status, METRICS_CONTENT_TYPE, &text);
-        }
+}
+
+/// [`respond`] under the slow-query trace, when tracing is on; only a
+/// trace past the threshold is collected (and named) for the slow log.
+fn traced_respond(shared: &Shared, request: &Request) -> (u16, Body) {
+    let Some(threshold) = shared.config.slow_query else {
+        return respond(shared, request);
+    };
+    let guard = traj_obs::trace_begin();
+    let answer = respond(shared, request);
+    if Duration::from_micros(guard.elapsed_us()) >= threshold {
+        traj_obs::slow_log().push(guard.finish(trace_name(request)));
     }
+    answer
 }
 
 /// A handler's failure: the status and the JSON error object to send.
@@ -1137,19 +1241,19 @@ fn render_metrics(shared: &Shared) -> String {
     );
     snap.put_counter(
         "service_rejected_total",
-        "Connections refused with 503 because the worker queue was full.",
+        "Connections refused with 503 because the open-connection bound was reached.",
         &[],
         server.rejected,
     );
     snap.put_gauge(
         "service_queue_capacity",
-        "Bound on connections queued ahead of the workers.",
+        "Open connections allowed beyond the handler permits.",
         &[],
         shared.config.queue_depth as f64,
     );
     snap.put_gauge(
         "service_workers",
-        "Worker threads answering requests.",
+        "Handler permits: requests answered at once.",
         &[],
         shared.config.workers as f64,
     );

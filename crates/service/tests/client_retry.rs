@@ -1,15 +1,18 @@
 //! Retry behaviour of the blocking client against a stub server that
 //! misbehaves in controlled ways: 503 backpressure that clears after a
 //! few attempts, connections reset before a response, and failures that
-//! never clear (attempts and budget must bound the loop).
+//! never clear (attempts and budget must bound the loop).  Then the
+//! client's kept connections: one the server closed is replaced exactly
+//! once, a response cut short is never resent, and `Connection: close`
+//! is honoured.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use traj_service::client::{http_get_retry, RetryPolicy};
+use traj_service::client::{http_get_retry, http_get_timeout, RetryPolicy};
 
 /// A stub HTTP server: for each accepted connection, calls `plan` with
 /// the 0-based connection index and performs the returned [`StubAction`]
@@ -186,4 +189,116 @@ fn no_retry_policy_behaves_like_a_plain_get() {
     assert_eq!(status, 503);
     assert_eq!(served.load(Ordering::SeqCst), 1);
     drop(handle);
+}
+
+/// A stub HTTP server that hands each accepted connection, with its
+/// 0-based index, to `serve`, one connection at a time.  The returned
+/// counter is the number of connections accepted so far.
+fn connection_stub<F>(serve: F) -> (SocketAddr, Arc<AtomicUsize>)
+where
+    F: Fn(usize, TcpStream) + Send + 'static,
+{
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().unwrap();
+    let accepted = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&accepted);
+    std::thread::spawn(move || {
+        while let Ok((stream, _)) = listener.accept() {
+            serve(counter.fetch_add(1, Ordering::SeqCst), stream);
+        }
+    });
+    (addr, accepted)
+}
+
+/// Reads one request head, byte by byte so that nothing past it is
+/// consumed; false when the client closed first.
+fn read_head(stream: &mut TcpStream) -> bool {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        match stream.read(&mut byte) {
+            Ok(1) => head.push(byte[0]),
+            _ => return false,
+        }
+    }
+    true
+}
+
+/// A 200 response; `extra` holds additional header lines.
+fn ok_response(extra: &str) -> String {
+    format!("HTTP/1.1 200 OK\r\nContent-Length: 11\r\n{extra}\r\n{{\"ok\":true}}")
+}
+
+#[test]
+fn a_kept_connection_the_server_closed_is_replaced_once() {
+    // Answers one request per connection, then closes without saying so.
+    let (addr, accepted) = connection_stub(|_, mut stream| {
+        if read_head(&mut stream) {
+            let _ = stream.write_all(ok_response("").as_bytes());
+        }
+    });
+    for call in 0..2 {
+        let (status, body) = http_get_timeout(addr, "/stats", timeout())
+            .unwrap_or_else(|e| panic!("call {call}: {e}"));
+        assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    }
+    assert_eq!(accepted.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn a_response_cut_short_is_an_error_and_never_resent() {
+    // The first request gets a whole response on a kept connection, the
+    // second half a status line before the stub closes.
+    let (addr, accepted) = connection_stub(|_, mut stream| {
+        if read_head(&mut stream) {
+            let _ = stream.write_all(ok_response("").as_bytes());
+        }
+        if read_head(&mut stream) {
+            let _ = stream.write_all(b"HTTP/1.1 20");
+        }
+    });
+    let (status, _) = http_get_timeout(addr, "/stats", timeout()).unwrap();
+    assert_eq!(status, 200);
+    assert!(http_get_timeout(addr, "/stats", timeout()).is_err());
+    assert_eq!(
+        accepted.load(Ordering::SeqCst),
+        1,
+        "a request whose response began must not be sent again"
+    );
+}
+
+#[test]
+fn connection_close_makes_the_next_call_open_a_new_connection() {
+    // The stub says `Connection: close` but holds every socket open and
+    // reads nothing more: a client that reused one would time out.
+    let held = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let keep = Arc::clone(&held);
+    let (addr, accepted) = connection_stub(move |_, mut stream| {
+        if read_head(&mut stream) {
+            let _ = stream.write_all(ok_response("Connection: close\r\n").as_bytes());
+        }
+        keep.lock().unwrap().push(stream);
+    });
+    for call in 0..2 {
+        let (status, _) = http_get_timeout(addr, "/stats", timeout())
+            .unwrap_or_else(|e| panic!("call {call}: {e}"));
+        assert_eq!(status, 200);
+    }
+    assert_eq!(accepted.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn keep_alive_reuses_one_connection() {
+    let (addr, accepted) = connection_stub(|_, mut stream| {
+        while read_head(&mut stream) {
+            if stream.write_all(ok_response("").as_bytes()).is_err() {
+                return;
+            }
+        }
+    });
+    for _ in 0..5 {
+        let (status, _) = http_get_timeout(addr, "/stats", timeout()).unwrap();
+        assert_eq!(status, 200);
+    }
+    assert_eq!(accepted.load(Ordering::SeqCst), 1);
 }

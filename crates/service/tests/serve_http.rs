@@ -600,3 +600,267 @@ fn shutdown_endpoint_can_be_disabled() {
     assert_eq!(status, 200);
     server.stop();
 }
+
+/// One response read off a raw socket.
+struct RawResponse {
+    status: u16,
+    /// The `Connection` header's value.
+    connection: String,
+    body: String,
+}
+
+/// Reads one `Content-Length`-framed response from `reader`.
+fn read_raw_response(reader: &mut impl std::io::BufRead) -> RawResponse {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let status = line
+        .split_ascii_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {line:?}"));
+    let (mut connection, mut length) = (String::new(), None);
+    loop {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let header = line.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        let (name, value) = header.split_once(':').unwrap();
+        match name.to_ascii_lowercase().as_str() {
+            "connection" => connection = value.trim().to_string(),
+            "content-length" => length = Some(value.trim().parse::<usize>().unwrap()),
+            _ => {}
+        }
+    }
+    let mut body = vec![0; length.expect("a Content-Length header")];
+    reader.read_exact(&mut body).unwrap();
+    RawResponse {
+        status,
+        connection,
+        body: String::from_utf8(body).unwrap(),
+    }
+}
+
+/// A raw client socket: the stream to write requests on and a buffered
+/// reader over a clone of it.
+fn raw_connect(
+    addr: std::net::SocketAddr,
+) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+/// Whether the server has closed the connection behind `reader`.
+fn at_eof(reader: &mut impl std::io::BufRead) -> bool {
+    match reader.fill_buf() {
+        Ok(buf) => buf.is_empty(),
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    }
+}
+
+#[test]
+fn one_socket_carries_many_requests_in_order() {
+    use std::io::Write;
+    let server = Server::start(sample_store(2), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let (mut stream, mut reader) = raw_connect(server.local_addr());
+    let request = |t: usize| format!("GET /position_at?device=1&t={t} HTTP/1.1\r\nHost: x\r\n\r\n");
+    let mut t = 0;
+    while t < 20 {
+        // Requests 10 and 11 leave in one write: the server must answer
+        // both, in order, from what it already buffered.
+        let batch = if t == 10 { 2 } else { 1 };
+        let bytes: String = (t..t + batch).map(request).collect();
+        stream.write_all(bytes.as_bytes()).unwrap();
+        for t in t..t + batch {
+            let response = read_raw_response(&mut reader);
+            assert_eq!(response.status, 200, "request {t}: {}", response.body);
+            assert_eq!(response.connection, "keep-alive", "request {t}");
+            let json = JsonValue::parse(&response.body).unwrap();
+            assert_eq!(
+                json.get("t").and_then(JsonValue::as_usize),
+                Some(t),
+                "answers come back in request order"
+            );
+        }
+        t += batch;
+    }
+    drop(stream);
+    let stats = server.stop();
+    assert_eq!(stats.requests, 20);
+}
+
+#[test]
+fn http_1_0_and_connection_close_end_the_connection() {
+    use std::io::Write;
+    let server = Server::start(sample_store(1), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    for raw in [
+        "GET /stats HTTP/1.0\r\n\r\n",
+        "GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n",
+    ] {
+        let (mut stream, mut reader) = raw_connect(server.local_addr());
+        stream.write_all(raw.as_bytes()).unwrap();
+        let response = read_raw_response(&mut reader);
+        assert_eq!(response.status, 200, "{raw:?}");
+        assert_eq!(response.connection, "close", "{raw:?}");
+        assert!(at_eof(&mut reader), "{raw:?}: the server must close");
+    }
+    server.stop();
+}
+
+#[test]
+fn idle_connections_hold_no_handler_and_the_open_bound_holds() {
+    use std::io::{Read, Write};
+    let (workers, queue_depth) = (2, 3);
+    let config = ServiceConfig::default()
+        .with_workers(workers)
+        .with_queue_depth(queue_depth);
+    let server = Server::start(sample_store(2), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    // workers + 1 idle connections: one kept alive after a request, the
+    // rest silent since they connected.
+    let mut idle = Vec::new();
+    let (mut stream, mut reader) = raw_connect(addr);
+    stream.write_all(b"GET /devices HTTP/1.1\r\n\r\n").unwrap();
+    assert_eq!(read_raw_response(&mut reader).status, 200);
+    idle.push(stream);
+    for _ in 0..workers {
+        idle.push(raw_connect(addr).0);
+    }
+    let started = std::time::Instant::now();
+    let (status, _) = client::http_get(addr, "/stats").unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "/stats took {:?} behind {} idle connections",
+        started.elapsed(),
+        workers + 1
+    );
+    // The client keeps its connection too; fill the rest of the bound.
+    while idle.len() + 1 < workers + queue_depth {
+        idle.push(raw_connect(addr).0);
+    }
+    // The refusal is written on accept; a request sent first would be
+    // unread at close, and the reset could beat the answer.
+    let (mut extra, _) = raw_connect(addr);
+    let mut refused = String::new();
+    extra.read_to_string(&mut refused).unwrap();
+    assert!(refused.starts_with("HTTP/1.1 503 "), "{refused}");
+    assert!(refused.contains("Connection: close\r\n"), "{refused}");
+    assert_eq!(server.stats().rejected, 1);
+    // The admitted connections are still served.
+    let (status, _) = client::http_get(addr, "/stats").unwrap();
+    assert_eq!(status, 200);
+    drop(idle);
+    let stats = server.stop();
+    assert_eq!(stats.rejected, 1);
+}
+
+#[test]
+fn stop_is_prompt_while_a_client_holds_an_idle_connection() {
+    let server = Server::start(sample_store(1), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    // The test thread's client now keeps an idle connection open.
+    let (status, _) = client::http_get(server.local_addr(), "/stats").unwrap();
+    assert_eq!(status, 200);
+    let (_silent, _) = raw_connect(server.local_addr());
+    let started = std::time::Instant::now();
+    server.stop();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "stop() waited {:?} for idle connections",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn shutdown_over_a_kept_alive_connection_answers_then_closes() {
+    use std::io::Write;
+    let server = Server::start(sample_store(1), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let (mut stream, mut reader) = raw_connect(server.local_addr());
+    stream.write_all(b"GET /stats HTTP/1.1\r\n\r\n").unwrap();
+    assert_eq!(read_raw_response(&mut reader).connection, "keep-alive");
+    stream.write_all(b"GET /shutdown HTTP/1.1\r\n\r\n").unwrap();
+    let response = read_raw_response(&mut reader);
+    assert_eq!(response.status, 200);
+    assert!(response.body.contains("\"ok\":true"));
+    assert_eq!(response.connection, "close");
+    assert!(at_eof(&mut reader));
+    assert_eq!(server.join().requests, 2);
+}
+
+#[test]
+fn a_trickling_client_is_closed_at_the_header_deadline() {
+    use std::io::{Read, Write};
+    // One handler, a 1 s deadline, and a client that sends a byte every
+    // 200 ms: each read would finish within its timeout, but the head
+    // must be complete 1 s after its first byte.
+    let config = ServiceConfig {
+        io_timeout: Duration::from_secs(1),
+        ..ServiceConfig::default().with_workers(1)
+    };
+    let server = Server::start(sample_store(1), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    let (mut stream, _) = raw_connect(addr);
+    let mut reader = stream.try_clone().unwrap();
+    let started = std::time::Instant::now();
+    let trickle = std::thread::spawn(move || {
+        for byte in b"GET /stats HTTP/1.1\r\nX-Slow: "
+            .iter()
+            .chain([b'a'; 64].iter())
+        {
+            if stream.write_all(&[*byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    let asked = std::time::Instant::now();
+    let (status, _) = client::http_get(addr, "/stats").unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        asked.elapsed() < Duration::from_millis(500),
+        "/stats took {:?} beside a trickling client",
+        asked.elapsed()
+    );
+    // The server closes without an answer: EOF, or a reset for the
+    // bytes it never read.
+    let mut buf = [0u8; 64];
+    match reader.read(&mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("unexpected answer {:?}", String::from_utf8_lossy(&buf[..n])),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    let closed = started.elapsed();
+    assert!(
+        closed < Duration::from_millis(1500),
+        "closed after {closed:?}"
+    );
+    assert!(
+        closed >= Duration::from_millis(900),
+        "closed after {closed:?}, before the deadline"
+    );
+    trickle.join().unwrap();
+    server.stop();
+}
+
+#[test]
+fn a_connection_the_server_idled_out_is_replaced_transparently() {
+    let config = ServiceConfig {
+        io_timeout: Duration::from_millis(300),
+        ..ServiceConfig::default()
+    };
+    let server = Server::start(sample_store(1), "127.0.0.1:0", config).unwrap();
+    let (status, _) = client::http_get(server.local_addr(), "/stats").unwrap();
+    assert_eq!(status, 200);
+    // The server closes the kept connection after 300 ms idle; the next
+    // request finds it closed and goes once more on a fresh one.
+    std::thread::sleep(Duration::from_millis(600));
+    let (status, _) = client::http_get(server.local_addr(), "/stats").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(server.stop().requests, 2);
+}

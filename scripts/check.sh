@@ -2,9 +2,9 @@
 # The full workspace gate: formatting, release build, the workspace tests
 # (the exact codec/store/query counts of tests/exact_counts.rs and the
 # per-request allocation budgets of tests/alloc_budget.rs among them),
-# the release-mode robustness, query-engine and crash-recovery suites, the
-# example and CLI smoke runs, a traced perfbench run of every workload,
-# rustdoc and clippy.  No step compares a timing against a stored baseline:
+# the release-mode robustness, query-engine, serving and crash-recovery
+# suites, the example and CLI smoke runs, a traced perfbench run of every
+# workload, rustdoc and clippy.  No step compares a timing against a stored baseline:
 # performance is measured by perfbench (see perfbench/README.md).
 # Usage: ./scripts/check.sh
 set -euo pipefail
@@ -44,8 +44,11 @@ echo "==> geofence CLI smoke (live waves + standing fences through trajsimp)"
 cargo run --release --bin trajsimp -- geofence --fence center=-800,-800,800,800 \
     --waves 2 --trajectories 16 --points 120 > /dev/null
 
-echo "==> serve smoke test (in-process server + test client: 200 + valid JSON + shutdown)"
-cargo test --release -q -p traj-service --test serve_http smoke_start_request_shutdown
+echo "==> serving suites (release): the serve smoke test, keep-alive, admission bound, shutdown, header deadline, client reuse and retry"
+# The whole suites, not only the smoke test, so that races in shutdown and
+# in replacing a closed kept-alive connection also run in optimised builds.
+cargo test --release -q -p traj-service --test serve_http
+cargo test --release -q -p traj-service --test client_retry
 
 echo "==> /metrics smoke (CLI store → paged serve → Prometheus scrape + /trace span tree)"
 # Starts a real trajsimp serve child over a persisted store, scrapes
