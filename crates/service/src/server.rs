@@ -887,12 +887,23 @@ fn handle_position_at(store: &ShardedStore, request: &Request) -> Result<String,
     Ok(out)
 }
 
+/// The most query points one `/knn` request may send.  A kNN query costs
+/// time in proportion to its points and holds a handler permit
+/// throughout, so the request line alone (room for ~2,000 points) is no
+/// bound.
+const MAX_KNN_POINTS: usize = 64;
+
 /// Parses the query point set of `/knn`: either `points=x1,y1;x2,y2;…`
-/// or a single `x`/`y` pair.
+/// (at most [`MAX_KNN_POINTS`]) or a single `x`/`y` pair.
 fn parse_query_points(request: &Request) -> Result<Vec<Point>, Rejection> {
     if let Some(raw) = request.param("points") {
         let mut points = Vec::new();
         for (i, pair) in raw.split(';').filter(|p| !p.is_empty()).enumerate() {
+            if i == MAX_KNN_POINTS {
+                return Err(bad_request(format!(
+                    "'points' lists more than {MAX_KNN_POINTS} points"
+                )));
+            }
             let mut coords = pair.split(',');
             let (Some(x), Some(y), None) = (coords.next(), coords.next(), coords.next()) else {
                 return Err(bad_request(format!(

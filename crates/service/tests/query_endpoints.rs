@@ -92,8 +92,24 @@ fn knn_endpoint_ranks_devices_and_reports_pruning() {
         Some(2)
     );
 
+    // Up to 64 query points answer; 65 are refused (see the table below).
+    let points = |n: usize| -> String {
+        (0..n)
+            .map(|i| format!("{},2000", i * 10))
+            .collect::<Vec<_>>()
+            .join(";")
+    };
+    let (status, json) = get_json(&server, &format!("/knn?points={}&k=2", points(64)));
+    assert_eq!(status, 200);
+    assert_eq!(
+        json.get("query_points").and_then(JsonValue::as_usize),
+        Some(64)
+    );
+    let too_many = format!("/knn?points={}&k=2", points(65));
+
     // Malformed queries are client errors, not panics.
     for path in [
+        too_many.as_str(),       // more than 64 points
         "/knn?k=3",              // no query point
         "/knn?x=1&y=2&k=0",      // k must be positive
         "/knn?x=1&y=2&k=nope",   // k not a count
@@ -110,6 +126,9 @@ fn knn_endpoint_ranks_devices_and_reports_pruning() {
             "{path}"
         );
     }
+    let (_, json) = get_json(&server, &too_many);
+    let error = json.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(error.contains("64"), "the limit is named: {error}");
     server.stop();
 }
 

@@ -38,7 +38,38 @@
 //! condition that provably leaves the exact distance unchanged, so the
 //! pruned search returns *bit-identical* distances to the brute-force
 //! reference ([`crate::TrajStore::knn_bruteforce`]).
+//!
+//! # Dropping a device part-way
+//!
+//! Blocks are visited in ascending bound order.  Before decoding the
+//! block at visiting position `j`, with `cur(q)` the running minimum of
+//! query point `q` and `S_j(q)` the smallest bound of `q` over the
+//! blocks from position `j` on (suffix minima, O(blocks × |Q|) per
+//! device),
+//!
+//! ```text
+//! d(Q, device) ≥ (1/|Q|) · Σ_{q ∈ Q}  min(cur(q), S_j(q))
+//! ```
+//!
+//! because no unvisited block brings `q` below `S_j(q)`.  Once that
+//! bound exceeds the k-th distance the device cannot enter the top-k
+//! and is dropped without decoding the rest of its log.
+//!
+//! # One top-k across shards
+//!
+//! A fleet-wide query ([`crate::ShardedStore::knn`]) runs both phases
+//! shard by shard, each under its own read lock, with one running
+//! top-k carried through all of them: every shard prunes and drops
+//! against the k-th distance of everything searched before it, not
+//! against its own.  One set of scratch buffers and one decode arena
+//! serve the whole query.
+//!
+//! Pruning and dropping both test with a strict `>`: the top-k orders
+//! equal distances by device id, so a device whose distance *equals*
+//! the k-th distance still displaces the k-th neighbour when its id is
+//! smaller.
 
+use std::ops::Deref;
 use std::sync::OnceLock;
 
 use traj_geo::{BoundingBox, Point};
@@ -92,8 +123,8 @@ impl KnnStats {
         }
     }
 
-    /// Accumulates another query's accounting (used by the sharded
-    /// merge).
+    /// Accumulates another query's accounting (totals over a series of
+    /// queries).
     pub fn merge(&mut self, other: &KnnStats) {
         self.devices_total += other.devices_total;
         self.devices_pruned += other.devices_pruned;
@@ -187,14 +218,36 @@ fn device_lower_bound(query: &[Point], blocks: &[StoredBlock]) -> f64 {
     sum / query.len() as f64
 }
 
-/// Per-device working buffers of [`TrajStore::knn`], reused across the
-/// devices one query scores.
+/// Per-device working buffers of a kNN query.
 #[derive(Default)]
 struct DeviceScratch {
     /// Running minimum distance per query point.
     current: Vec<f64>,
+    /// `bounds[b·|Q| + i]`: the metadata bound of query point `i` against
+    /// block ordinal `b`, computed once per device.
+    bounds: Vec<f64>,
     /// `(bound, block ordinal)` in visiting order.
     order: Vec<(f64, usize)>,
+    /// `suffix[j·|Q| + i]`: the smallest bound of query point `i` over the
+    /// blocks from visiting position `j` on (row `order.len()` is +∞);
+    /// built only once the top-k is full.
+    suffix: Vec<f64>,
+}
+
+/// The working buffers of one kNN query.  One set serves every shard and
+/// every device the query visits.
+#[derive(Default)]
+struct KnnScratch {
+    /// `(bound, device)` of the current shard's devices, best first.
+    candidates: Vec<(f64, DeviceId)>,
+    device: DeviceScratch,
+}
+
+/// The running k-th distance, or +∞ while fewer than `k` devices are
+/// ranked (pruning and dropping compare against it with a strict `>`;
+/// see the module docs).
+fn kth_distance(top: &[KnnNeighbor], k: usize) -> f64 {
+    top.get(k - 1).map_or(f64::INFINITY, |n| n.distance)
 }
 
 /// Inserts `(distance, device)` into the running top-`k`, ordered by
@@ -209,6 +262,34 @@ fn push_top_k(top: &mut Vec<KnnNeighbor>, k: usize, device: DeviceId, distance: 
     }
 }
 
+/// One kNN query over `stores`, searched in order with one running top-k
+/// carried from store to store, so that each store prunes against the
+/// k-th distance of everything searched before it.  Each store is held
+/// only while it is searched: a shard's read guard is dropped before the
+/// next shard's is taken.  One scratch set and `arena` serve the whole
+/// query.
+pub(crate) fn search<S: Deref<Target = TrajStore>>(
+    stores: impl IntoIterator<Item = S>,
+    query: &[Point],
+    k: usize,
+    arena: &mut DecodeArena,
+) -> KnnResult {
+    let mut span = traj_obs::span("knn");
+    span.attr("k", k);
+    span.attr("query_points", query.len());
+    let mut result = KnnResult::default();
+    if k == 0 || query.is_empty() {
+        return result;
+    }
+    let mut scratch = KnnScratch::default();
+    for store in stores {
+        store.knn_into(query, k, &mut scratch, arena, &mut result);
+    }
+    span.attr("devices_pruned", result.stats.devices_pruned);
+    span.attr("blocks_decoded", result.stats.blocks_decoded);
+    result
+}
+
 impl TrajStore {
     /// k-nearest-trajectory search: the `k` devices whose stored
     /// trajectories are closest to the query point set, by mean
@@ -219,101 +300,130 @@ impl TrajStore {
     /// alone; the returned distances are exactly those of
     /// [`TrajStore::knn_bruteforce`].
     pub fn knn(&self, query: &[Point], k: usize) -> KnnResult {
-        let mut span = traj_obs::span("knn");
-        span.attr("k", k);
-        span.attr("query_points", query.len());
-        let mut result = KnnResult::default();
-        if k == 0 || query.is_empty() {
-            return result;
-        }
+        self.with_arena(|arena| search([self], query, k, arena))
+    }
 
+    /// Searches this store's devices into the running `result`, pruning
+    /// against its current k-th distance.
+    fn knn_into(
+        &self,
+        query: &[Point],
+        k: usize,
+        scratch: &mut KnnScratch,
+        arena: &mut DecodeArena,
+        result: &mut KnnResult,
+    ) {
         // Phase 1 (metadata only): a lower bound per device, over the
-        // device's resident block metadata (borrowed, not copied).
-        struct Candidate<'a> {
-            device: DeviceId,
-            bound: f64,
-            blocks: &'a [StoredBlock],
-        }
+        // device's resident block metadata.
+        let KnnScratch { candidates, device } = scratch;
+        candidates.clear();
         let logs = self.device_blocks();
-        let mut candidates: Vec<Candidate> = Vec::with_capacity(logs.len());
-        for (device, blocks) in logs {
+        candidates.reserve(logs.len());
+        for (id, blocks) in logs {
             if blocks.is_empty() {
                 continue;
             }
             result.stats.blocks_total += blocks.len();
-            candidates.push(Candidate {
-                device,
-                bound: device_lower_bound(query, blocks),
-                blocks,
-            });
+            candidates.push((device_lower_bound(query, blocks), id));
         }
-        result.stats.devices_total = candidates.len();
-        candidates.sort_by(|a, b| a.bound.total_cmp(&b.bound).then(a.device.cmp(&b.device)));
+        result.stats.devices_total += candidates.len();
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         // Phase 2: score best-first; prune the tail once the k-th exact
         // distance undercuts the remaining bounds.  Bounds ascend and the
         // k-th distance only shrinks, so the first prunable candidate
-        // prunes everything after it.  One arena and one scratch serve
-        // every scored device.
-        let mut scratch = DeviceScratch::default();
-        self.with_arena(|arena| {
-            for (i, candidate) in candidates.iter().enumerate() {
-                if result.neighbors.len() >= k && candidate.bound > result.neighbors[k - 1].distance
-                {
-                    result.stats.devices_pruned += candidates.len() - i;
-                    break;
-                }
-                let distance = self.device_distance(
-                    candidate.blocks,
-                    query,
-                    arena,
-                    &mut scratch,
-                    &mut result.stats,
-                );
-                push_top_k(&mut result.neighbors, k, candidate.device, distance);
+        // prunes everything after it.
+        for (i, &(bound, id)) in candidates.iter().enumerate() {
+            let kth = kth_distance(&result.neighbors, k);
+            if bound > kth {
+                result.stats.devices_pruned += candidates.len() - i;
+                break;
             }
-        });
-        span.attr("devices_pruned", result.stats.devices_pruned);
-        span.attr("blocks_decoded", result.stats.blocks_decoded);
-        result
+            let blocks = self.device_log(id);
+            if let Some(distance) =
+                self.device_distance(blocks, query, kth, arena, device, &mut result.stats)
+            {
+                push_top_k(&mut result.neighbors, k, id, distance);
+            }
+        }
     }
 
-    /// The exact distance of one device, decoding only blocks that can
-    /// still improve some query point's running minimum.  Skipping is
-    /// lossless: a skipped block's bound proves none of its segments can
-    /// undercut any current minimum, so the min — and therefore the
-    /// mean — is unchanged.
+    /// The exact distance of one device, or `None` once a lower bound on
+    /// it exceeds `kth` (the device cannot enter the top-k).  Decodes
+    /// only blocks that can still improve some query point's running
+    /// minimum.  Skipping is lossless: a skipped block's bound proves
+    /// none of its segments can undercut any current minimum, so the
+    /// min — and therefore the mean — is unchanged.
     fn device_distance(
         &self,
         blocks: &[StoredBlock],
         query: &[Point],
+        kth: f64,
         arena: &mut DecodeArena,
         scratch: &mut DeviceScratch,
         stats: &mut KnnStats,
-    ) -> f64 {
-        let DeviceScratch { current, order } = scratch;
+    ) -> Option<f64> {
+        let DeviceScratch {
+            current,
+            bounds,
+            order,
+            suffix,
+        } = scratch;
+        let width = query.len();
         current.clear();
-        current.resize(query.len(), f64::INFINITY);
+        current.resize(width, f64::INFINITY);
+        bounds.clear();
+        bounds.reserve(blocks.len() * width);
+        for block in blocks {
+            bounds.extend(query.iter().map(|q| block_lower_bound(q, &block.meta)));
+        }
         // Visit blocks in ascending bound order so the minima tighten
         // early and later blocks can be skipped.
         order.clear();
-        order.extend(blocks.iter().enumerate().map(|(i, block)| {
-            let bound = query
-                .iter()
-                .map(|q| block_lower_bound(q, &block.meta))
-                .fold(f64::INFINITY, f64::min);
-            (bound, i)
-        }));
+        order.extend(
+            bounds
+                .chunks_exact(width)
+                .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
+                .enumerate()
+                .map(|(i, bound)| (bound, i)),
+        );
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for &(_, block_idx) in order.iter() {
-            let block = &blocks[block_idx];
-            let useful = query
-                .iter()
-                .zip(current.iter())
-                .any(|(q, &cur)| block_lower_bound(q, &block.meta) < cur);
+        // Suffix minima of the per-point bounds over the visiting order:
+        // O(blocks × query points), never quadratic in the block count.
+        // Until the top-k is full `kth` is +∞ and nothing can be dropped.
+        let may_drop = kth.is_finite();
+        suffix.clear();
+        if may_drop {
+            suffix.resize((order.len() + 1) * width, f64::INFINITY);
+            for (j, &(_, block_idx)) in order.iter().enumerate().rev() {
+                let own = &bounds[block_idx * width..(block_idx + 1) * width];
+                let (row, rest) = suffix[j * width..].split_at_mut(width);
+                for ((slot, &later), &lb) in row.iter_mut().zip(rest.iter()).zip(own) {
+                    *slot = lb.min(later);
+                }
+            }
+        }
+        for (j, &(_, block_idx)) in order.iter().enumerate() {
+            let own = &bounds[block_idx * width..(block_idx + 1) * width];
+            let useful = own.iter().zip(current.iter()).any(|(&lb, &cur)| lb < cur);
             if !useful {
                 continue;
             }
+            if may_drop {
+                // No unvisited block brings a point below its suffix
+                // minimum, so this mean bounds the final distance from below.
+                let rest = &suffix[j * width..(j + 1) * width];
+                let lower = current
+                    .iter()
+                    .zip(rest)
+                    .map(|(&cur, &later)| cur.min(later))
+                    .sum::<f64>()
+                    / width as f64;
+                if lower > kth {
+                    return None;
+                }
+            }
+            let block = &blocks[block_idx];
             stats.blocks_decoded += 1;
             self.decode_stored(block, arena)
                 .expect("stored blocks decode");
@@ -326,7 +436,7 @@ impl TrajStore {
                 }
             }
         }
-        current.iter().sum::<f64>() / query.len() as f64
+        Some(current.iter().sum::<f64>() / width as f64)
     }
 
     /// Brute-force kNN reference: decodes every block of every device.
@@ -334,8 +444,14 @@ impl TrajStore {
     /// that pruning never changes an answer.
     pub fn knn_bruteforce(&self, query: &[Point], k: usize) -> KnnResult {
         let mut result = KnnResult::default();
+        self.bruteforce_into(query, k, &mut result);
+        result
+    }
+
+    /// Scores every device of this store into the running `result`.
+    pub(crate) fn bruteforce_into(&self, query: &[Point], k: usize, result: &mut KnnResult) {
         if k == 0 || query.is_empty() {
-            return result;
+            return;
         }
         let devices: Vec<DeviceId> = self.devices().collect();
         for device in devices {
@@ -362,13 +478,66 @@ impl TrajStore {
             let distance = current.iter().sum::<f64>() / query.len() as f64;
             push_top_k(&mut result.neighbors, k, device, distance);
         }
-        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use traj_geo::DirectedSegment;
+    use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
+
+    use crate::StoreConfig;
+
+    /// A store holding `device` alone, on the polyline
+    /// (0,5) → (100,5) → (1000,0) → (1100,0), one segment per block.
+    fn single_device_store(device: DeviceId) -> TrajStore {
+        let corners = [(0.0, 5.0), (100.0, 5.0), (1000.0, 0.0), (1100.0, 0.0)];
+        let segments = corners
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                let a = Point::new(w[0].0, w[0].1, i as f64 * 10.0);
+                let b = Point::new(w[1].0, w[1].1, (i + 1) as f64 * 10.0);
+                SimplifiedSegment::new(DirectedSegment::new(a, b), i, i + 1)
+            })
+            .collect();
+        let mut store = TrajStore::new(StoreConfig::default().with_block_segments(1));
+        store
+            .ingest(
+                device,
+                &SimplifiedTrajectory::new(segments, corners.len()),
+                10.0,
+            )
+            .unwrap();
+        store
+    }
+
+    #[test]
+    fn an_equal_distance_with_a_smaller_id_displaces_the_kth_neighbour() {
+        // Device 7 is searched first and device 3, on the same path, after
+        // it; both end at exactly the k-th distance, so device 3 must win
+        // on its id.  A `>=` in pruning or dropping would dismiss it.
+        let first = single_device_store(7);
+        let second = single_device_store(3);
+        // At (1000,0) both distances are 0, the same as device 3's
+        // metadata bound: device 3 survives pruning only under a strict
+        // `>`.  With (50,0) added the tie is 2.5, which device 3's
+        // running bound reaches before its last block: it survives the
+        // drop only under a strict `>`.
+        for query in [
+            vec![Point::new(1000.0, 0.0, 0.0)],
+            vec![Point::new(50.0, 0.0, 0.0), Point::new(1000.0, 0.0, 0.0)],
+        ] {
+            let mut reference = KnnResult::default();
+            first.bruteforce_into(&query, 1, &mut reference);
+            second.bruteforce_into(&query, 1, &mut reference);
+            let answer = first.with_arena(|arena| search([&first, &second], &query, 1, arena));
+            assert_eq!(answer.neighbors, reference.neighbors, "{query:?}");
+            assert_eq!(answer.neighbors[0].device, 3, "{query:?}");
+            assert_eq!(answer.stats.devices_pruned, 0, "{query:?}");
+        }
+    }
 
     #[test]
     fn mindist_is_zero_inside_and_euclidean_outside() {

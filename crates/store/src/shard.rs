@@ -16,7 +16,7 @@
 //!   sees a consistent per-shard snapshot: sealed blocks are immutable
 //!   and the shard cannot change under the query.
 //!
-//! Fleet-wide queries ([`ShardedStore::window_query`],
+//! Fleet-wide queries ([`ShardedStore::window_query`], [`ShardedStore::knn`],
 //! [`ShardedStore::stats`]) visit shards one at a time, so their result is
 //! a sequence of per-shard snapshots rather than one global snapshot —
 //! the documented consistency model of the serving layer (each device's
@@ -52,7 +52,7 @@ use traj_model::SimplifiedTrajectory;
 use traj_pipeline::DeviceId;
 
 use crate::block::BlockMeta;
-use crate::pager::Pager;
+use crate::pager::{ArenaPool, Pager};
 use crate::persist::RecoveryReport;
 use crate::query::geofence::GeofenceRegistry;
 use crate::query::knn::{self, KnnResult};
@@ -87,6 +87,8 @@ pub struct ShardedStore {
     /// metadata of every ingest (see [`crate::query::geofence`]).  On a
     /// durable store its fences/cursors persist into the store directory.
     geofences: Arc<GeofenceRegistry>,
+    /// Decode arenas of fleet-wide queries that span shards (kNN).
+    arenas: ArenaPool,
 }
 
 /// What [`ShardedStore::open_durable`] recovered: the main-file salvage
@@ -132,6 +134,7 @@ impl ShardedStore {
             durable_dir: None,
             pager: None,
             geofences: Arc::new(GeofenceRegistry::new()),
+            arenas: ArenaPool::default(),
         }
     }
 
@@ -521,6 +524,9 @@ impl ShardedStore {
             total.arena_creates += m.arena_creates;
             total.arena_reuses += m.arena_reuses;
         }
+        let (arena_creates, arena_reuses) = self.arenas.counters();
+        total.arena_creates += arena_creates;
+        total.arena_reuses += arena_reuses;
         total.cache = self.pager.as_deref().map(Pager::stats);
         total
     }
@@ -581,46 +587,39 @@ impl ShardedStore {
         merged
     }
 
-    /// Fleet-wide [`TrajStore::knn`]: each shard answers its local top-k
-    /// under its read lock (pruning on resident metadata only), and the
-    /// per-shard answers merge into the global top-k — sound because the
-    /// global k nearest devices are each in their shard's k nearest.
+    /// Fleet-wide [`TrajStore::knn`]: one best-first search whose running
+    /// top-k is carried from shard to shard.  Shards are visited in order,
+    /// each under its own read lock (so the answer is a sequence of
+    /// per-shard snapshots, as for every fleet-wide query), and each
+    /// prunes devices against the k-th distance of every shard searched
+    /// before it.  One decode arena and one set of scratch buffers serve
+    /// the whole query.
     pub fn knn(&self, query: &[Point], k: usize) -> KnnResult {
-        let mut merged = KnnResult::default();
-        for shard in &self.shards {
-            let local = shard.read().expect("store lock poisoned").knn(query, k);
-            merged.stats.merge(&local.stats);
-            merged.neighbors.extend(local.neighbors);
-        }
-        merged.neighbors.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.device.cmp(&b.device))
-        });
-        merged.neighbors.truncate(k);
-        knn::record_global(&merged.stats);
-        merged
+        let mut arena = self.arenas.checkout();
+        let result = knn::search(
+            self.shards
+                .iter()
+                .map(|shard| shard.read().expect("store lock poisoned")),
+            query,
+            k,
+            &mut arena,
+        );
+        self.arenas.checkin(arena);
+        knn::record_global(&result.stats);
+        result
     }
 
     /// Fleet-wide [`TrajStore::knn_bruteforce`] — the decoded reference
     /// answer, for verification.
     pub fn knn_bruteforce(&self, query: &[Point], k: usize) -> KnnResult {
-        let mut merged = KnnResult::default();
+        let mut result = KnnResult::default();
         for shard in &self.shards {
-            let local = shard
+            shard
                 .read()
                 .expect("store lock poisoned")
-                .knn_bruteforce(query, k);
-            merged.stats.merge(&local.stats);
-            merged.neighbors.extend(local.neighbors);
+                .bruteforce_into(query, k, &mut result);
         }
-        merged.neighbors.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.device.cmp(&b.device))
-        });
-        merged.neighbors.truncate(k);
-        merged
+        result
     }
 
     /// The store's standing-query registry (register fences, subscribe,

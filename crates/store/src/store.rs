@@ -506,6 +506,13 @@ impl TrajStore {
             .map(|(&device, log)| (device, log.blocks.as_slice()))
     }
 
+    /// One device's stored blocks, borrowed (empty for unknown devices).
+    pub(crate) fn device_log(&self, device: DeviceId) -> &[StoredBlock] {
+        self.logs
+            .get(&device)
+            .map_or(&[], |log| log.blocks.as_slice())
+    }
+
     /// Runs `f` with one pooled decode arena.
     pub(crate) fn with_arena<R>(&self, f: impl FnOnce(&mut DecodeArena) -> R) -> R {
         let mut arena = self.arenas.checkout();

@@ -11,8 +11,8 @@ use traj_geo::{BoundingBox, DirectedSegment, Point};
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
 use traj_store::{
-    compress_fleet_into_store, DurabilityMode, GeofenceAlert, GeofenceRegistry, ShardedStore,
-    StoreConfig, TrajStore,
+    compress_fleet_into_store, DurabilityMode, GeofenceAlert, GeofenceRegistry, KnnNeighbor,
+    ShardedStore, StoreConfig, TrajStore,
 };
 
 const ZETA: f64 = 25.0;
@@ -25,11 +25,19 @@ fn synthetic_fleet(count: usize, points: usize, seed: u64) -> Vec<(DeviceId, Tra
 }
 
 fn populated_store(fleet: &[(DeviceId, Trajectory)]) -> TrajStore {
-    let algorithm = FleetAlgorithm::by_name("operb").unwrap();
+    compressed_store(fleet, "operb", 16)
+}
+
+fn compressed_store(
+    fleet: &[(DeviceId, Trajectory)],
+    algorithm: &str,
+    block_segments: usize,
+) -> TrajStore {
+    let algorithm = FleetAlgorithm::by_name(algorithm).unwrap();
     let config = PipelineConfig::new(ZETA)
         .with_workers(4)
         .with_batch_size(128);
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(16));
+    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(block_segments));
     let (_, ingested) = compress_fleet_into_store(fleet, &config, &algorithm, &mut store).unwrap();
     assert_eq!(ingested, fleet.len());
     store
@@ -113,27 +121,67 @@ fn knn_matches_bruteforce_bit_exactly_while_pruning() {
     assert_eq!(all.neighbors, store.knn_bruteforce(&query, 100).neighbors);
 }
 
+/// Neighbours as `(device, distance bits)`: equal means bit-identical.
+fn neighbor_bits(neighbors: &[KnnNeighbor]) -> Vec<(DeviceId, u64)> {
+    neighbors
+        .iter()
+        .map(|n| (n.device, n.distance.to_bits()))
+        .collect()
+}
+
 #[test]
 fn sharded_knn_agrees_with_flat_store() {
-    let fleet = synthetic_fleet(32, 250, 5);
-    let flat = populated_store(&fleet);
-    let sharded = ShardedStore::from_store(flat.clone(), 4);
-    let probe = &fleet[17].1;
-    let query: Vec<Point> = [probe.len() / 3, 2 * probe.len() / 3]
-        .map(|i| probe.point(i))
-        .to_vec();
-    for k in [1, 5, 12] {
-        let sharded_answer = sharded.knn(&query, k);
-        assert_eq!(
-            sharded_answer.neighbors,
-            flat.knn(&query, k).neighbors,
-            "k={k}"
+    // 32 devices plus one long-lived device whose log runs past 200
+    // blocks, so that dropping a device part-way through its blocks (on
+    // suffix minima of the block bounds) runs on a long log.
+    const LONG_DEVICE: DeviceId = 1_000;
+    let mut fleet = synthetic_fleet(32, 250, 5);
+    let generator = DatasetGenerator::for_kind(DatasetKind::Taxi, 5);
+    fleet.push((LONG_DEVICE, generator.generate_trajectory(1_000, 5_000)));
+    let probe = |device: usize, shares: &[f64]| -> Vec<Point> {
+        let traj = &fleet[device].1;
+        shares
+            .iter()
+            .map(|share| traj.point(((traj.len() - 1) as f64 * share) as usize))
+            .collect()
+    };
+    let queries = [
+        probe(17, &[1.0 / 3.0, 2.0 / 3.0]),
+        probe(32, &[0.2, 0.5, 0.8]),
+        probe(4, &[0.5]),
+    ];
+    for algorithm in ["operb", "operb-a"] {
+        let flat = compressed_store(&fleet, algorithm, 8);
+        assert!(
+            flat.device_block_count(LONG_DEVICE) >= 200,
+            "{algorithm}: the long device has {} blocks",
+            flat.device_block_count(LONG_DEVICE)
         );
-        assert_eq!(
-            sharded_answer.neighbors,
-            sharded.knn_bruteforce(&query, k).neighbors,
-            "k={k}"
-        );
+        for shards in [1, 2, 4, 16] {
+            let sharded = ShardedStore::from_store(flat.clone(), shards);
+            for (q, query) in queries.iter().enumerate() {
+                for k in [1, 5, 10, fleet.len() + 3] {
+                    let expected = neighbor_bits(&flat.knn_bruteforce(query, k).neighbors);
+                    assert_eq!(expected.len(), k.min(fleet.len()));
+                    let context = format!("{algorithm}, {shards} shards, query {q}, k={k}");
+                    assert_eq!(
+                        neighbor_bits(&flat.knn(query, k).neighbors),
+                        expected,
+                        "flat {context}"
+                    );
+                    assert_eq!(
+                        neighbor_bits(&sharded.knn(query, k).neighbors),
+                        expected,
+                        "sharded {context}"
+                    );
+                    assert_eq!(
+                        neighbor_bits(&sharded.knn_bruteforce(query, k).neighbors),
+                        expected,
+                        "sharded brute force {context}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -30,8 +30,9 @@ cargo test --release -q -p traj-store --test query_engine
 cargo test --release -q -p traj-store --test query_golden
 cargo test --release -q -p traj-service --test query_endpoints
 
-echo "==> allocation budgets per request kind (release; the workspace tests run them in debug)"
+echo "==> allocation budgets per request kind and exact counts (release; the workspace tests run them in debug)"
 cargo test --release -q --test alloc_budget
+cargo test --release -q --test exact_counts
 
 echo "==> crash-recovery gate: WAL crash-point sweep + SIGKILL'd live server (release)"
 cargo test --release -q -p traj-store --test crash_sweep

@@ -13,8 +13,8 @@ use trajsimp::model::codec::{BlockFormat, SegmentCodec};
 use trajsimp::model::{SimplifiedTrajectory, Trajectory};
 use trajsimp::pipeline::{compress_fleet, DeviceId, FleetAlgorithm, PipelineConfig};
 use trajsimp::store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, EvictionKind, ShardedStore,
-    StoreConfig, TrajStore,
+    compress_fleet_into_shared_store, compress_fleet_into_store, EvictionKind, KnnStats,
+    ShardedStore, StoreConfig, TrajStore,
 };
 
 const SEED: u64 = 20170401;
@@ -190,26 +190,47 @@ fn knn_pruning_and_geofence_alerts() {
     let fleet = taxi_fleet(128, 500);
     let config = StoreConfig::default().with_block_segments(32);
 
-    // kNN: 16 three-point probes along real paths, k = 10.
+    // kNN: 16 three-point probes along real paths, k = 10, against the
+    // flat store and against the same fleet in 16 shards (one top-k
+    // carried from shard to shard).
     let mut store = TrajStore::new(config);
     compress_fleet_into_store(&fleet, &pipeline_config(), &operb(), &mut store)
         .expect("ingest succeeds");
-    let (mut devices_total, mut devices_pruned) = (0, 0);
-    let (mut blocks_total, mut blocks_decoded) = (0, 0);
-    for p in 0..16 {
-        let (_, traj) = &fleet[(p * 37) % fleet.len()];
-        let probe: Vec<Point> = [traj.len() / 4, traj.len() / 2, 3 * traj.len() / 4]
-            .iter()
-            .map(|&i| traj.point(i))
-            .collect();
-        let stats = store.knn(&probe, 10).stats;
-        devices_total += stats.devices_total;
-        devices_pruned += stats.devices_pruned;
-        blocks_total += stats.blocks_total;
-        blocks_decoded += stats.blocks_decoded;
-    }
-    assert_eq!((devices_pruned, devices_total), (1_650, 2_048));
-    assert_eq!((blocks_decoded, blocks_total), (1_417, 14_320));
+    let sharded = ShardedStore::from_store(store.clone(), 16);
+    let probes: Vec<Vec<Point>> = (0..16)
+        .map(|p| {
+            let (_, traj) = &fleet[(p * 37) % fleet.len()];
+            [traj.len() / 4, traj.len() / 2, 3 * traj.len() / 4]
+                .iter()
+                .map(|&i| traj.point(i))
+                .collect()
+        })
+        .collect();
+    let knn_totals = |knn: &dyn Fn(&[Point]) -> KnnStats| {
+        let mut total = KnnStats::default();
+        for probe in &probes {
+            total.merge(&knn(probe));
+        }
+        total
+    };
+    assert_eq!(
+        knn_totals(&|probe| store.knn(probe, 10).stats),
+        KnnStats {
+            devices_total: 2_048,
+            devices_pruned: 1_650,
+            blocks_total: 14_320,
+            blocks_decoded: 1_229,
+        }
+    );
+    assert_eq!(
+        knn_totals(&|probe| sharded.knn(probe, 10).stats),
+        KnnStats {
+            devices_total: 2_048,
+            devices_pruned: 1_294,
+            blocks_total: 14_320,
+            blocks_decoded: 2_182,
+        }
+    );
 
     // Geofences: four 600 m fences on real traffic watch a live ingest
     // into four shards.
