@@ -179,17 +179,10 @@ impl ShardedStore {
     }
 
     /// Opens a store directory written by [`TrajStore::save`] (or
-    /// [`ShardedStore::save`]) and shards it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrajStore::open`].
-    pub fn open(dir: &Path, num_shards: usize) -> Result<Self, StoreError> {
-        Ok(Self::from_store(TrajStore::open(dir)?, num_shards))
-    }
-
-    /// [`ShardedStore::open`] with runtime configuration — buffer-pool
-    /// capacity and eviction policy (see [`TrajStore::open_with`]).
+    /// [`ShardedStore::save`]) and shards it, with runtime configuration —
+    /// buffer-pool capacity and eviction policy (see
+    /// [`TrajStore::open_with`]; `StoreConfig::default()` gives an
+    /// unbounded pool).
     ///
     /// # Errors
     ///
@@ -206,22 +199,8 @@ impl ShardedStore {
     }
 
     /// Opens a store directory in recovery mode (see
-    /// [`TrajStore::open_recover`]) and shards the salvaged prefix — the
-    /// serving path's way back up after a crash mid-append.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrajStore::open_recover`].
-    pub fn open_recover(
-        dir: &Path,
-        num_shards: usize,
-    ) -> Result<(Self, crate::persist::RecoveryReport), StoreError> {
-        let (store, report) = TrajStore::open_recover(dir)?;
-        Ok((Self::from_store(store, num_shards), report))
-    }
-
-    /// [`ShardedStore::open_recover`] with runtime configuration (see
-    /// [`TrajStore::open_with`]).
+    /// [`TrajStore::open_recover_with`]) and shards the salvaged prefix —
+    /// the serving path's way back up after a crash mid-append.
     ///
     /// # Errors
     ///
@@ -711,7 +690,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("traj-shard-test-{}", std::process::id()));
         sharded.save(&dir).unwrap();
-        let back = ShardedStore::open(&dir, 2).unwrap();
+        let back = ShardedStore::open_with(&dir, 2, StoreConfig::default()).unwrap();
         // The reopened store is lazy: payloads live on disk, not inline.
         let want = StoreStats {
             resident_bytes: 0,

@@ -548,8 +548,9 @@ fn sharded_open_recover_matches_flat_recovery() {
     let cut = (*offsets.last().unwrap() + log.len()) / 2;
     fs::write(&log_path, &log[..cut]).unwrap();
 
-    assert!(ShardedStore::open(&dir, 4).is_err());
-    let (sharded, report) = ShardedStore::open_recover(&dir, 4).unwrap();
+    assert!(ShardedStore::open_with(&dir, 4, StoreConfig::default()).is_err());
+    let (sharded, report) =
+        ShardedStore::open_recover_with(&dir, 4, StoreConfig::default()).unwrap();
     let (flat, flat_report) = TrajStore::open_recover(&dir).unwrap();
     assert_eq!(report, flat_report);
     assert_eq!(sharded.stats(), flat.stats());

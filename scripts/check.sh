@@ -45,6 +45,9 @@ echo "==> geofence CLI smoke (live waves + standing fences through trajsimp)"
 cargo run --release --bin trajsimp -- geofence --fence center=-800,-800,800,800 \
     --waves 2 --trajectories 16 --points 120 > /dev/null
 
+echo "==> CLI suite (release): every mode's argument errors, single-file output per algorithm, store/query/knn round trip"
+cargo test --release -q --test cli
+
 echo "==> serving suites (release): the serve smoke test, keep-alive, admission bound, shutdown, header deadline, client reuse and retry"
 # The whole suites, not only the smoke test, so that races in shutdown and
 # in replacing a closed kept-alive connection also run in optimised builds.

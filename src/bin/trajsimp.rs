@@ -39,24 +39,31 @@
 //! directory (opened in crash-recovery mode) or a freshly compressed
 //! synthetic fleet — and optionally keeps ingesting further waves of the
 //! fleet live while serving.  `GET /shutdown` stops it gracefully.
+//!
+//! Every mode reads its arguments through one [`Flags`] reader, and every
+//! algorithm name resolves through [`FleetAlgorithm::by_name`].
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
+use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use trajsimp::baselines::{Bqs, DouglasPeucker, Fbqs, OpeningWindow, TdTr};
 use trajsimp::data::io::{read_csv, read_plt};
 use trajsimp::data::{DatasetGenerator, DatasetKind};
-use trajsimp::geo::BoundingBox;
+use trajsimp::geo::{BoundingBox, Point};
 use trajsimp::metrics::{average_error, max_error};
-use trajsimp::model::{BatchSimplifier, Trajectory};
-use trajsimp::operb::{Operb, OperbA};
+use trajsimp::model::codec::BlockFormat;
+use trajsimp::model::Trajectory;
 use trajsimp::pipeline::fleet::verify_error_bound;
 use trajsimp::pipeline::{
     compress_fleet, compress_fleet_sequential, DeviceId, FleetAlgorithm, PipelineConfig, Speedup,
 };
-use trajsimp::store::{compress_fleet_into_store, EvictionKind, TrajStore};
+use trajsimp::store::{
+    compress_fleet_into_shared_store, compress_fleet_into_store, DurabilityMode, EvictionKind,
+    ShardedStore, StoreConfig, TrajStore,
+};
 
 const USAGE: &str = "usage: trajsimp <input.csv|input.plt> [--algorithm NAME] [--epsilon METERS] [--output FILE]\n\
        trajsimp fleet [--trajectories N] [--points N] [--workers N] [--batch N]\n\
@@ -78,60 +85,167 @@ const USAGE: &str = "usage: trajsimp <input.csv|input.plt> [--algorithm NAME] [-
                       [--cache-bytes N] [--eviction lru|clock|sieve] [--slow-query-ms MS]\n\
                       [--no-shutdown-endpoint] [--trajectories N] [--points N] [--algorithm NAME]\n\
                       [--epsilon METERS] [--dataset NAME] [--seed N]   (HTTP query server; GET /shutdown stops it)\n\
-                     algorithms: operb (default: operb-a), operb-a, raw-operb, raw-operb-a, dp, td-tr, opw, bqs, fbqs";
+       coordinates and times must be finite; the algorithm defaults to operb-a for a file, operb otherwise";
 
-struct Options {
-    input: String,
-    algorithm: String,
-    epsilon: f64,
-    output: Option<String>,
-}
+/// The one argument reader.  Each mode takes its flags out of it — a
+/// flag's typed value, every value of a repeated flag, a switch — then the
+/// positional argument, and [`Flags::finish`] rejects whatever is left.
+struct Flags(Vec<String>);
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut input = None;
-    let mut algorithm = "operb-a".to_string();
-    let mut epsilon = 30.0;
-    let mut output = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--algorithm" | "-a" => {
-                algorithm = it.next().ok_or("--algorithm needs a value")?.to_lowercase();
+impl Flags {
+    /// Every value given for the flag `names` (a name and its aliases), in
+    /// order, each checked by `parse`.
+    fn all<T>(
+        &mut self,
+        names: &[&str],
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut values = Vec::new();
+        let mut i = 0;
+        while i < self.0.len() {
+            if !names.contains(&self.0[i].as_str()) {
+                i += 1;
+                continue;
             }
-            "--epsilon" | "-e" => {
-                let v = it.next().ok_or("--epsilon needs a value")?;
-                epsilon = v.parse().map_err(|_| format!("invalid epsilon '{v}'"))?;
+            let flag = self.0.remove(i);
+            if i == self.0.len() {
+                return Err(format!("{flag} needs a value"));
             }
-            "--output" | "-o" => {
-                output = Some(it.next().ok_or("--output needs a file")?.to_string());
-            }
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(other.to_string());
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
+            let value = self.0.remove(i);
+            values.push(parse(&value).map_err(|e| format!("{flag} '{value}': {e}"))?);
+        }
+        Ok(values)
+    }
+
+    /// The value of the flag `names`; the last one wins when it repeats.
+    fn get<T>(
+        &mut self,
+        names: &[&str],
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        Ok(self.all(names, parse)?.pop())
+    }
+
+    /// Whether the valueless flag `name` was given.
+    fn switch(&mut self, name: &str) -> bool {
+        let before = self.0.len();
+        self.0.retain(|arg| arg != name);
+        self.0.len() != before
+    }
+
+    /// The positional argument.  Read it after every flag, so that no
+    /// flag's value is taken for it.
+    fn positional(&mut self) -> Option<String> {
+        let i = self.0.iter().position(|arg| !arg.starts_with('-'))?;
+        Some(self.0.remove(i))
+    }
+
+    /// Rejects whatever no read took.
+    fn finish(self) -> Result<(), String> {
+        match self.0.first() {
+            Some(arg) => Err(format!("unexpected argument '{arg}'")),
+            None => Ok(()),
         }
     }
-    Ok(Options {
-        input: input.ok_or(USAGE)?,
-        algorithm,
-        epsilon,
-        output,
+}
+
+fn parsed<T: std::str::FromStr>(value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e: T::Err| e.to_string())
+}
+
+fn text(value: &str) -> Result<String, String> {
+    Ok(value.to_string())
+}
+
+/// A coordinate or a time: any finite number (the server's rule too).
+fn finite(value: &str) -> Result<f64, String> {
+    match value.trim().parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err("not a finite number".to_string()),
+    }
+}
+
+/// An error bound ζ: a positive finite number of metres.
+fn bound(value: &str) -> Result<f64, String> {
+    match finite(value) {
+        Ok(v) if v > 0.0 => Ok(v),
+        _ => Err("the error bound must be a positive finite number".to_string()),
+    }
+}
+
+/// `N` comma-separated finite numbers.
+fn coords<const N: usize>(value: &str) -> Result<[f64; N], String> {
+    value
+        .split(',')
+        .map(finite)
+        .collect::<Result<Vec<_>, _>>()?
+        .try_into()
+        .map_err(|_| format!("want {N} comma-separated numbers"))
+}
+
+fn point(value: &str) -> Result<Point, String> {
+    let [x, y] = coords(value)?;
+    Ok(Point::new(x, y, 0.0))
+}
+
+/// `x0,y0,x1,y1`, corners in either order.
+fn region(value: &str) -> Result<BoundingBox, String> {
+    let [x0, y0, x1, y1] = coords(value)?;
+    Ok(BoundingBox {
+        min_x: x0.min(x1),
+        min_y: y0.min(y1),
+        max_x: x0.max(x1),
+        max_y: y0.max(y1),
     })
 }
 
-fn algorithm_by_name(name: &str) -> Option<Box<dyn BatchSimplifier>> {
-    Some(match name {
-        "operb" => Box::new(Operb::new()),
-        "raw-operb" => Box::new(Operb::raw()),
-        "operb-a" => Box::new(OperbA::new()),
-        "raw-operb-a" => Box::new(OperbA::raw()),
-        "dp" | "douglas-peucker" => Box::new(DouglasPeucker::new()),
-        "td-tr" | "tdtr" => Box::new(TdTr::new()),
-        "opw" => Box::new(OpeningWindow::new()),
-        "bqs" => Box::new(Bqs::new()),
-        "fbqs" => Box::new(Fbqs::new()),
-        _ => return None,
-    })
+/// `name=x0,y0,x1,y1`.
+fn fence(value: &str) -> Result<(String, BoundingBox), String> {
+    let (name, coords) = value.split_once('=').ok_or("want name=x0,y0,x1,y1")?;
+    Ok((name.to_string(), region(coords)?))
+}
+
+fn algorithm(value: &str) -> Result<FleetAlgorithm, String> {
+    FleetAlgorithm::by_name(value).ok_or_else(|| "unknown algorithm".to_string())
+}
+
+fn dataset(value: &str) -> Result<DatasetKind, String> {
+    DatasetKind::ALL
+        .into_iter()
+        .find(|kind| kind.name().eq_ignore_ascii_case(value))
+        .ok_or_else(|| "want taxi, truck, sercar or geolife".to_string())
+}
+
+fn eviction(value: &str) -> Result<EvictionKind, String> {
+    EvictionKind::from_name(value).ok_or_else(|| "want lru, clock or sieve".to_string())
+}
+
+fn block_format(value: &str) -> Result<BlockFormat, String> {
+    BlockFormat::from_name(value).ok_or_else(|| "want varint or for".to_string())
+}
+
+/// `async`, `group-commit` or `group-commit:WINDOW_MS`.
+fn durability(value: &str) -> Result<DurabilityMode, String> {
+    match value {
+        "async" => Ok(DurabilityMode::WalAsync),
+        "group-commit" => Ok(DurabilityMode::WalGroupCommit(Duration::from_millis(2))),
+        other => match other.strip_prefix("group-commit:") {
+            Some(ms) => Ok(DurabilityMode::WalGroupCommit(Duration::from_millis(
+                parsed(ms)?,
+            ))),
+            None => Err("want async, group-commit or group-commit:MS".to_string()),
+        },
+    }
+}
+
+/// The buffer-pool flags `query`, `knn` and `serve` share.
+fn store_config(flags: &mut Flags) -> Result<StoreConfig, String> {
+    Ok(StoreConfig::default()
+        .with_cache_bytes(flags.get(&["--cache-bytes"], parsed)?)
+        .with_eviction(flags.get(&["--eviction"], eviction)?.unwrap_or_default()))
 }
 
 fn load(path: &str) -> Result<Trajectory, String> {
@@ -144,119 +258,156 @@ fn load(path: &str) -> Result<Trajectory, String> {
     }
 }
 
+fn open_flat(dir: &str, config: StoreConfig) -> Result<TrajStore, String> {
+    let store = TrajStore::open_with(Path::new(dir), config).map_err(|e| e.to_string())?;
+    let stats = store.stats();
+    eprintln!(
+        "opened {dir} ({} devices, {} blocks, {} segments)",
+        stats.devices, stats.blocks, stats.segments
+    );
+    Ok(store)
+}
+
+/// `fleet` with every timestamp shifted forward by `offset` seconds — the
+/// "next wave" of a live feed (per-device logs are append-only in time).
+fn shifted_fleet(fleet: &[(DeviceId, Trajectory)], offset: f64) -> Vec<(DeviceId, Trajectory)> {
+    fleet
+        .iter()
+        .map(|(device, traj)| {
+            let points = traj
+                .points()
+                .iter()
+                .map(|p| Point::new(p.x, p.y, p.t + offset))
+                .collect();
+            (*device, Trajectory::new_unchecked(points))
+        })
+        .collect()
+}
+
+/// The synthetic-fleet flags `fleet`, `store`, `geofence` and `serve`
+/// share.
 struct FleetOptions {
     trajectories: usize,
     points: usize,
     workers: usize,
     batch: usize,
-    algorithm: String,
+    algorithm: FleetAlgorithm,
     epsilon: f64,
     dataset: DatasetKind,
     seed: u64,
 }
 
-impl Default for FleetOptions {
-    fn default() -> Self {
-        Self {
-            trajectories: 1000,
-            points: 500,
-            workers: std::thread::available_parallelism().map_or(4, usize::from),
-            batch: 256,
-            algorithm: "operb".to_string(),
-            epsilon: 30.0,
-            dataset: DatasetKind::Taxi,
-            seed: 20170401,
+impl FleetOptions {
+    fn parse(flags: &mut Flags) -> Result<Self, String> {
+        let options = Self {
+            trajectories: flags
+                .get(&["--trajectories", "-n"], parsed)?
+                .unwrap_or(1000),
+            points: flags.get(&["--points", "-p"], parsed)?.unwrap_or(500),
+            workers: flags
+                .get(&["--workers", "-w"], parsed)?
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from)),
+            batch: flags.get(&["--batch", "-b"], parsed)?.unwrap_or(256),
+            algorithm: match flags.get(&["--algorithm", "-a"], algorithm)? {
+                Some(algorithm) => algorithm,
+                None => algorithm("operb")?,
+            },
+            epsilon: flags.get(&["--epsilon", "-e"], bound)?.unwrap_or(30.0),
+            dataset: flags
+                .get(&["--dataset", "-d"], dataset)?
+                .unwrap_or(DatasetKind::Taxi),
+            seed: flags.get(&["--seed", "-s"], parsed)?.unwrap_or(20170401),
+        };
+        if options.trajectories == 0 || options.points < 2 {
+            return Err("the fleet needs --trajectories >= 1 and --points >= 2".to_string());
         }
+        Ok(options)
+    }
+
+    fn generate(&self) -> Vec<(DeviceId, Trajectory)> {
+        eprintln!(
+            "generating {} {} trajectories of {} points each (seed {}) …",
+            self.trajectories, self.dataset, self.points, self.seed
+        );
+        let generator = DatasetGenerator::for_kind(self.dataset, self.seed);
+        (0..self.trajectories)
+            .map(|i| (i as DeviceId, generator.generate_trajectory(i, self.points)))
+            .collect()
+    }
+
+    fn pipeline(&self) -> PipelineConfig {
+        PipelineConfig::new(self.epsilon)
+            .with_workers(self.workers)
+            .with_batch_size(self.batch)
     }
 }
 
-fn parse_fleet_args(args: &[String]) -> Result<FleetOptions, String> {
-    let mut o = FleetOptions::default();
-    let mut it = args.iter();
-    fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    }
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trajectories" | "-n" => {
-                let v = value(&mut it, arg)?;
-                o.trajectories = v.parse().map_err(|_| format!("invalid count '{v}'"))?;
-            }
-            "--points" | "-p" => {
-                let v = value(&mut it, arg)?;
-                o.points = v.parse().map_err(|_| format!("invalid count '{v}'"))?;
-            }
-            "--workers" | "-w" => {
-                let v = value(&mut it, arg)?;
-                o.workers = v.parse().map_err(|_| format!("invalid count '{v}'"))?;
-            }
-            "--batch" | "-b" => {
-                let v = value(&mut it, arg)?;
-                o.batch = v.parse().map_err(|_| format!("invalid count '{v}'"))?;
-            }
-            "--algorithm" | "-a" => {
-                o.algorithm = value(&mut it, arg)?.to_lowercase();
-            }
-            "--epsilon" | "-e" => {
-                let v = value(&mut it, arg)?;
-                o.epsilon = v.parse().map_err(|_| format!("invalid epsilon '{v}'"))?;
-            }
-            "--dataset" | "-d" => {
-                let v = value(&mut it, arg)?;
-                o.dataset = match v.to_ascii_lowercase().as_str() {
-                    "taxi" => DatasetKind::Taxi,
-                    "truck" => DatasetKind::Truck,
-                    "sercar" => DatasetKind::SerCar,
-                    "geolife" => DatasetKind::GeoLife,
-                    _ => return Err(format!("unknown dataset '{v}'")),
-                };
-            }
-            "--seed" | "-s" => {
-                let v = value(&mut it, arg)?;
-                o.seed = v.parse().map_err(|_| format!("invalid seed '{v}'"))?;
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-    }
-    if o.trajectories == 0 || o.points < 2 {
-        return Err("fleet needs --trajectories >= 1 and --points >= 2".to_string());
-    }
-    if !o.epsilon.is_finite() || o.epsilon <= 0.0 {
-        return Err(format!(
-            "--epsilon must be a positive finite bound, got {}",
-            o.epsilon
-        ));
-    }
-    Ok(o)
-}
-
-fn run_fleet(options: &FleetOptions) -> Result<(), String> {
-    let Some(algorithm) = FleetAlgorithm::by_name(&options.algorithm) else {
-        return Err(format!("unknown algorithm '{}'", options.algorithm));
+fn single_file(mut flags: Flags) -> Result<(), String> {
+    let algorithm = match flags.get(&["--algorithm", "-a"], algorithm)? {
+        Some(algorithm) => algorithm,
+        None => algorithm("operb-a")?,
     };
-    eprintln!(
-        "generating {} {} trajectories of {} points each (seed {}) …",
-        options.trajectories, options.dataset, options.points, options.seed
+    let epsilon = flags.get(&["--epsilon", "-e"], bound)?.unwrap_or(30.0);
+    let output = flags.get(&["--output", "-o"], text)?;
+    let input = flags.positional().ok_or("missing the input file")?;
+    flags.finish()?;
+
+    // One stream through the fleet registry: the same code path, and the
+    // same names, as every other mode.
+    let fleet = [(0, load(&input)?)];
+    let trajectory = &fleet[0].1;
+    let run = compress_fleet_sequential(&fleet, epsilon, &algorithm);
+    let elapsed = run.report.elapsed;
+    let simplified = run
+        .results
+        .into_iter()
+        .next()
+        .expect("one stream in, one result out")
+        .output
+        .map_err(|e| format!("simplification failed: {e}"))?;
+
+    println!("input        : {input} ({} points)", trajectory.len());
+    println!("algorithm    : {} (ζ = {epsilon} m)", algorithm.name());
+    println!("segments     : {}", simplified.num_segments());
+    println!("ratio        : {:.4}", simplified.compression_ratio());
+    println!("max error    : {:.2} m", max_error(trajectory, &simplified));
+    println!(
+        "avg error    : {:.2} m",
+        average_error(trajectory, &simplified)
     );
-    let generator = DatasetGenerator::for_kind(options.dataset, options.seed);
-    let fleet: Vec<(DeviceId, Trajectory)> = (0..options.trajectories)
-        .map(|i| {
-            (
-                i as DeviceId,
-                generator.generate_trajectory(i, options.points),
-            )
-        })
-        .collect();
+    println!(
+        "time         : {:.2} ms ({:.0} points/s)",
+        elapsed.as_secs_f64() * 1e3,
+        trajectory.len() as f64 / elapsed.as_secs_f64().max(1e-12)
+    );
+
+    if let Some(out_path) = output {
+        let file = File::create(&out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
+        let mut writer = BufWriter::new(file);
+        for p in simplified.shape_points() {
+            writeln!(writer, "{},{},{}", p.x, p.y, p.t).map_err(|e| format!("write error: {e}"))?;
+        }
+        writer.flush().map_err(|e| format!("write error: {e}"))?;
+        println!(
+            "output       : {out_path} ({} shape points)",
+            simplified.num_shape_points()
+        );
+    }
+    Ok(())
+}
+
+fn fleet(mut flags: Flags) -> Result<(), String> {
+    let options = FleetOptions::parse(&mut flags)?;
+    flags.finish()?;
+    let algorithm = &options.algorithm;
+    let fleet = options.generate();
     let total_points: usize = fleet.iter().map(|(_, t)| t.len()).sum();
 
     eprintln!("sequential reference ({}) …", algorithm.name());
-    let sequential = compress_fleet_sequential(&fleet, options.epsilon, &algorithm);
+    let sequential = compress_fleet_sequential(&fleet, options.epsilon, algorithm);
 
     eprintln!("parallel pipeline ({} workers) …", options.workers);
-    let config = PipelineConfig::new(options.epsilon)
-        .with_workers(options.workers)
-        .with_batch_size(options.batch);
-    let mut parallel = compress_fleet(&fleet, &config, &algorithm);
+    let mut parallel = compress_fleet(&fleet, &options.pipeline(), algorithm);
 
     // Verify the error bound on every parallel output.
     let worst = verify_error_bound(&fleet, &mut parallel.results, options.epsilon)?;
@@ -305,101 +456,41 @@ fn run_fleet(options: &FleetOptions) -> Result<(), String> {
     Ok(())
 }
 
-struct StoreOptions {
-    out: String,
-    fleet: FleetOptions,
-    input: Option<String>,
-    device: DeviceId,
-    format: trajsimp::model::codec::BlockFormat,
-}
+fn store(mut flags: Flags) -> Result<(), String> {
+    let out = flags
+        .get(&["--out", "-o"], text)?
+        .ok_or("store needs --out DIR")?;
+    let input = flags.get(&["--input", "-i"], text)?;
+    let device = flags.get(&["--device"], parsed)?.unwrap_or(0);
+    let format = flags
+        .get(&["--format", "-f"], block_format)?
+        .unwrap_or_default();
+    let options = FleetOptions::parse(&mut flags)?;
+    flags.finish()?;
 
-fn parse_store_args(args: &[String]) -> Result<StoreOptions, String> {
-    let mut out = None;
-    let mut input = None;
-    let mut device: DeviceId = 0;
-    let mut format = trajsimp::model::codec::BlockFormat::default();
-    let mut fleet_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" | "-o" => {
-                out = Some(it.next().ok_or("--out needs a directory")?.to_string());
-            }
-            "--input" | "-i" => {
-                input = Some(it.next().ok_or("--input needs a file")?.to_string());
-            }
-            "--device" => {
-                let v = it.next().ok_or("--device needs an id")?;
-                device = v.parse().map_err(|_| format!("invalid device id '{v}'"))?;
-            }
-            "--format" | "-f" => {
-                let v = it.next().ok_or("--format needs 'varint' or 'for'")?;
-                format = trajsimp::model::codec::BlockFormat::from_name(v)
-                    .ok_or_else(|| format!("unknown block format '{v}' (varint|for)"))?;
-            }
-            other => fleet_args.push(other.to_string()),
-        }
-    }
-    // Everything else is shared with `fleet` (trajectories, points,
-    // workers, algorithm, epsilon, dataset, seed).
-    let fleet = parse_fleet_args(&fleet_args)?;
-    Ok(StoreOptions {
-        out: out.ok_or("store needs --out DIR")?,
-        fleet,
-        input,
-        device,
-        format,
-    })
-}
-
-fn run_store(options: &StoreOptions) -> Result<(), String> {
-    let Some(algorithm) = FleetAlgorithm::by_name(&options.fleet.algorithm) else {
-        return Err(format!("unknown algorithm '{}'", options.fleet.algorithm));
-    };
-    let fleet: Vec<(DeviceId, Trajectory)> = match &options.input {
+    let fleet = match &input {
         Some(path) => {
-            eprintln!("loading {path} as device {} …", options.device);
-            vec![(options.device, load(path)?)]
+            eprintln!("loading {path} as device {device} …");
+            vec![(device, load(path)?)]
         }
-        None => {
-            eprintln!(
-                "generating {} {} trajectories of {} points each (seed {}) …",
-                options.fleet.trajectories,
-                options.fleet.dataset,
-                options.fleet.points,
-                options.fleet.seed
-            );
-            let generator = DatasetGenerator::for_kind(options.fleet.dataset, options.fleet.seed);
-            (0..options.fleet.trajectories)
-                .map(|i| {
-                    (
-                        i as DeviceId,
-                        generator.generate_trajectory(i, options.fleet.points),
-                    )
-                })
-                .collect()
-        }
+        None => options.generate(),
     };
-    let config = PipelineConfig::new(options.fleet.epsilon)
-        .with_workers(options.fleet.workers)
-        .with_batch_size(options.fleet.batch);
-    let mut store =
-        TrajStore::new(trajsimp::store::StoreConfig::default().with_format(options.format));
+    let mut store = TrajStore::new(StoreConfig::default().with_format(format));
     let start = Instant::now();
-    let (_, ingested) = compress_fleet_into_store(&fleet, &config, &algorithm, &mut store)?;
-    let out = std::path::Path::new(&options.out);
-    store.save(out).map_err(|e| e.to_string())?;
+    let (_, ingested) =
+        compress_fleet_into_store(&fleet, &options.pipeline(), &options.algorithm, &mut store)?;
+    store.save(Path::new(&out)).map_err(|e| e.to_string())?;
     let stats = store.stats();
     println!(
-        "store        : {} ({} devices, {} blocks, {} segments)",
-        options.out, stats.devices, stats.blocks, stats.segments
+        "store        : {out} ({} devices, {} blocks, {} segments)",
+        stats.devices, stats.blocks, stats.segments
     );
     println!(
         "algorithm    : {} (ζ = {} m)",
-        algorithm.name(),
-        options.fleet.epsilon
+        options.algorithm.name(),
+        options.epsilon
     );
-    println!("block format : {}", options.format);
+    println!("block format : {format}");
     println!("points       : {} (from {ingested} streams)", stats.points);
     println!(
         "stored bytes : {} ({:.2} B/point, {:.1}x smaller than raw)",
@@ -415,109 +506,26 @@ fn run_store(options: &StoreOptions) -> Result<(), String> {
     Ok(())
 }
 
-struct QueryOptions {
-    dir: String,
-    device: Option<DeviceId>,
-    from: Option<f64>,
-    to: Option<f64>,
-    at: Option<f64>,
-    window: Option<BoundingBox>,
-    cache_bytes: Option<usize>,
-    eviction: EvictionKind,
-    profile: bool,
-}
+fn query(mut flags: Flags) -> Result<(), String> {
+    let device: Option<DeviceId> = flags.get(&["--device", "-d"], parsed)?;
+    let from = flags.get(&["--from"], finite)?;
+    let to = flags.get(&["--to"], finite)?;
+    let at = flags.get(&["--at"], finite)?;
+    let window = flags.get(&["--window", "-w"], region)?;
+    let config = store_config(&mut flags)?;
+    let profile = flags.switch("--profile");
+    let dir = flags.positional().ok_or("query needs a store directory")?;
+    flags.finish()?;
 
-/// Parses an `--eviction` value into a policy kind.
-fn parse_eviction(value: &str) -> Result<EvictionKind, String> {
-    EvictionKind::from_name(value)
-        .ok_or_else(|| format!("--eviction must be one of lru, clock, sieve; got '{value}'"))
-}
-
-fn parse_query_args(args: &[String]) -> Result<QueryOptions, String> {
-    let mut o = QueryOptions {
-        dir: String::new(),
-        device: None,
-        from: None,
-        to: None,
-        at: None,
-        window: None,
-        cache_bytes: None,
-        eviction: EvictionKind::default(),
-        profile: false,
-    };
-    let mut it = args.iter();
-    fn num(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<f64, String> {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        v.parse().map_err(|_| format!("invalid {flag} value '{v}'"))
-    }
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--device" | "-d" => {
-                let v = it.next().ok_or("--device needs an id")?;
-                o.device = Some(v.parse().map_err(|_| format!("invalid device id '{v}'"))?);
-            }
-            "--from" => o.from = Some(num(&mut it, arg)?),
-            "--to" => o.to = Some(num(&mut it, arg)?),
-            "--at" => o.at = Some(num(&mut it, arg)?),
-            "--window" | "-w" => {
-                let v = it.next().ok_or("--window needs x0,y0,x1,y1")?;
-                let parts: Vec<f64> = v
-                    .split(',')
-                    .map(|p| p.trim().parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("invalid window '{v}' (want x0,y0,x1,y1)"))?;
-                if parts.len() != 4 {
-                    return Err(format!("invalid window '{v}' (want 4 coordinates)"));
-                }
-                o.window = Some(BoundingBox {
-                    min_x: parts[0].min(parts[2]),
-                    min_y: parts[1].min(parts[3]),
-                    max_x: parts[0].max(parts[2]),
-                    max_y: parts[1].max(parts[3]),
-                });
-            }
-            "--cache-bytes" => {
-                let v = it.next().ok_or("--cache-bytes needs a byte count")?;
-                o.cache_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --cache-bytes '{v}'"))?,
-                );
-            }
-            "--eviction" => {
-                let v = it.next().ok_or("--eviction needs a policy name")?;
-                o.eviction = parse_eviction(v)?;
-            }
-            "--profile" => o.profile = true,
-            other if o.dir.is_empty() && !other.starts_with('-') => {
-                o.dir = other.to_string();
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-    }
-    if o.dir.is_empty() {
-        return Err("query needs a store directory".to_string());
-    }
-    Ok(o)
-}
-
-fn run_query(options: &QueryOptions) -> Result<(), String> {
-    let config = trajsimp::store::StoreConfig::default()
-        .with_cache_bytes(options.cache_bytes)
-        .with_eviction(options.eviction);
-    let store = TrajStore::open_with(std::path::Path::new(&options.dir), config)
-        .map_err(|e| e.to_string())?;
-    let stats = store.stats();
-    eprintln!(
-        "opened {} ({} devices, {} blocks, {} segments)",
-        options.dir, stats.devices, stats.blocks, stats.segments
-    );
+    let cached = config.cache_bytes.is_some();
+    let store = open_flat(&dir, config)?;
     // Under --profile the query runs traced and the span tree (index walk,
     // pager fetches, block decodes) is printed as a stage breakdown.
-    let profile_guard = options.profile.then(trajsimp::obs::trace_begin);
-    match (options.window, options.at, options.device) {
+    let profile_guard = profile.then(trajsimp::obs::trace_begin);
+    match (window, at, device) {
         // Spatial window query across the fleet.
         (Some(window), None, None) => {
-            let time = match (options.from, options.to) {
+            let time = match (from, to) {
                 (Some(a), Some(b)) => Some((a, b)),
                 (None, None) => None,
                 _ => return Err("--from and --to must be given together".into()),
@@ -542,7 +550,7 @@ fn run_query(options: &QueryOptions) -> Result<(), String> {
         },
         // Time-range slice.
         (None, None, Some(device)) => {
-            let (Some(from), Some(to)) = (options.from, options.to) else {
+            let (Some(from), Some(to)) = (from, to) else {
                 return Err("time slice needs --from and --to".into());
             };
             let slice = store.time_slice(device, from, to);
@@ -577,7 +585,7 @@ fn run_query(options: &QueryOptions) -> Result<(), String> {
         let trace = guard.finish("trajsimp query");
         eprintln!("profile:\n{}", trace.render_text());
     }
-    if options.cache_bytes.is_some() {
+    if cached {
         if let Some(cache) = store.memory_stats().cache {
             eprintln!(
                 "cache[{}]: {} hits, {} misses, {} evictions; hit ratio {:.1}%, {} resident bytes",
@@ -593,87 +601,23 @@ fn run_query(options: &QueryOptions) -> Result<(), String> {
     Ok(())
 }
 
-struct KnnOptions {
-    dir: String,
-    points: Vec<trajsimp::geo::Point>,
-    k: usize,
-    brute: bool,
-    cache_bytes: Option<usize>,
-    eviction: EvictionKind,
-}
-
-fn parse_knn_args(args: &[String]) -> Result<KnnOptions, String> {
-    let mut o = KnnOptions {
-        dir: String::new(),
-        points: Vec::new(),
-        k: 1,
-        brute: false,
-        cache_bytes: None,
-        eviction: EvictionKind::default(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--point" | "-p" => {
-                let v = it.next().ok_or("--point needs x,y")?;
-                let parts: Vec<f64> = v
-                    .split(',')
-                    .map(|p| p.trim().parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("invalid point '{v}' (want x,y)"))?;
-                if parts.len() != 2 || parts.iter().any(|c| !c.is_finite()) {
-                    return Err(format!("invalid point '{v}' (want finite x,y)"));
-                }
-                o.points
-                    .push(trajsimp::geo::Point::new(parts[0], parts[1], 0.0));
-            }
-            "--k" | "-k" => {
-                let v = it.next().ok_or("--k needs a count")?;
-                o.k = v.parse().map_err(|_| format!("invalid k '{v}'"))?;
-            }
-            "--brute" => o.brute = true,
-            "--cache-bytes" => {
-                let v = it.next().ok_or("--cache-bytes needs a byte count")?;
-                o.cache_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --cache-bytes '{v}'"))?,
-                );
-            }
-            "--eviction" => {
-                let v = it.next().ok_or("--eviction needs a policy name")?;
-                o.eviction = parse_eviction(v)?;
-            }
-            other if o.dir.is_empty() && !other.starts_with('-') => {
-                o.dir = other.to_string();
-            }
-            other => return Err(format!("unexpected argument '{other}'")),
-        }
-    }
-    if o.dir.is_empty() {
-        return Err("knn needs a store directory".to_string());
-    }
-    if o.points.is_empty() {
+fn knn(mut flags: Flags) -> Result<(), String> {
+    let points = flags.all(&["--point", "-p"], point)?;
+    let k = flags.get(&["--k", "-k"], parsed)?.unwrap_or(1);
+    let brute = flags.switch("--brute");
+    let config = store_config(&mut flags)?;
+    let dir = flags.positional().ok_or("knn needs a store directory")?;
+    flags.finish()?;
+    if points.is_empty() {
         return Err("knn needs at least one --point x,y".to_string());
     }
-    if o.k == 0 {
+    if k == 0 {
         return Err("--k must be at least 1".to_string());
     }
-    Ok(o)
-}
 
-fn run_knn(options: &KnnOptions) -> Result<(), String> {
-    let config = trajsimp::store::StoreConfig::default()
-        .with_cache_bytes(options.cache_bytes)
-        .with_eviction(options.eviction);
-    let store = TrajStore::open_with(std::path::Path::new(&options.dir), config)
-        .map_err(|e| e.to_string())?;
-    let stats = store.stats();
-    eprintln!(
-        "opened {} ({} devices, {} blocks, {} segments)",
-        options.dir, stats.devices, stats.blocks, stats.segments
-    );
+    let store = open_flat(&dir, config)?;
     let start = Instant::now();
-    let result = store.knn(&options.points, options.k);
+    let result = store.knn(&points, k);
     let elapsed = start.elapsed();
     for (rank, n) in result.neighbors.iter().enumerate() {
         println!(
@@ -697,8 +641,8 @@ fn run_knn(options: &KnnOptions) -> Result<(), String> {
         s.block_prune_ratio() * 100.0
     );
     println!("time         : {:.2} ms", elapsed.as_secs_f64() * 1e3);
-    if options.brute {
-        let brute = store.knn_bruteforce(&options.points, options.k);
+    if brute {
+        let brute = store.knn_bruteforce(&points, k);
         let same =
             brute.neighbors.len() == result.neighbors.len()
                 && brute.neighbors.iter().zip(&result.neighbors).all(|(a, b)| {
@@ -718,101 +662,25 @@ fn run_knn(options: &KnnOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a `--fence` value `name=x0,y0,x1,y1` into a named region
-/// (corners in either order).
-fn parse_fence(spec: &str) -> Result<(String, BoundingBox), String> {
-    let (name, coords) = spec
-        .split_once('=')
-        .ok_or_else(|| format!("invalid fence '{spec}' (want name=x0,y0,x1,y1)"))?;
-    let parts: Vec<f64> = coords
-        .split(',')
-        .map(|p| p.trim().parse::<f64>())
-        .collect::<Result<_, _>>()
-        .map_err(|_| format!("invalid fence '{spec}' (want name=x0,y0,x1,y1)"))?;
-    if parts.len() != 4 {
-        return Err(format!("invalid fence '{spec}' (want 4 coordinates)"));
-    }
-    Ok((
-        name.to_string(),
-        BoundingBox {
-            min_x: parts[0].min(parts[2]),
-            min_y: parts[1].min(parts[3]),
-            max_x: parts[0].max(parts[2]),
-            max_y: parts[1].max(parts[3]),
-        },
-    ))
-}
-
-struct GeofenceOptions {
-    fences: Vec<(String, BoundingBox)>,
-    waves: usize,
-    shards: usize,
-    fleet: FleetOptions,
-}
-
-fn parse_geofence_args(args: &[String]) -> Result<GeofenceOptions, String> {
-    let mut fences = Vec::new();
-    let mut waves = 3usize;
-    let mut shards = 4usize;
-    let mut fleet_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fence" | "-f" => {
-                let v = it.next().ok_or("--fence needs name=x0,y0,x1,y1")?;
-                fences.push(parse_fence(v)?);
-            }
-            "--waves" => {
-                let v = it.next().ok_or("--waves needs a count")?;
-                waves = v.parse().map_err(|_| format!("invalid --waves '{v}'"))?;
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a count")?;
-                shards = v.parse().map_err(|_| format!("invalid --shards '{v}'"))?;
-            }
-            other => fleet_args.push(other.to_string()),
-        }
-    }
-    let fleet = parse_fleet_args(&fleet_args)?;
+fn geofence(mut flags: Flags) -> Result<(), String> {
+    let fences = flags.all(&["--fence", "-f"], fence)?;
+    let waves = flags.get(&["--waves"], parsed)?.unwrap_or(3usize);
+    let shards = flags.get(&["--shards"], parsed)?.unwrap_or(4usize);
+    let options = FleetOptions::parse(&mut flags)?;
+    flags.finish()?;
     if fences.is_empty() {
         return Err("geofence needs at least one --fence name=x0,y0,x1,y1".to_string());
     }
     if waves == 0 || shards == 0 {
         return Err("geofence needs --waves >= 1 and --shards >= 1".to_string());
     }
-    Ok(GeofenceOptions {
-        fences,
-        waves,
-        shards,
-        fleet,
-    })
-}
 
-fn run_geofence(options: &GeofenceOptions) -> Result<(), String> {
-    use trajsimp::store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
-
-    let Some(algorithm) = FleetAlgorithm::by_name(&options.fleet.algorithm) else {
-        return Err(format!("unknown algorithm '{}'", options.fleet.algorithm));
-    };
-    eprintln!(
-        "generating {} {} trajectories of {} points each (seed {}) …",
-        options.fleet.trajectories, options.fleet.dataset, options.fleet.points, options.fleet.seed
-    );
-    let generator = DatasetGenerator::for_kind(options.fleet.dataset, options.fleet.seed);
-    let fleet: Vec<(DeviceId, Trajectory)> = (0..options.fleet.trajectories)
-        .map(|i| {
-            (
-                i as DeviceId,
-                generator.generate_trajectory(i, options.fleet.points),
-            )
-        })
-        .collect();
-
-    let store = std::sync::Arc::new(ShardedStore::new(
+    let fleet = options.generate();
+    let store = Arc::new(ShardedStore::new(
         StoreConfig::default().with_block_segments(32),
-        options.shards,
+        shards,
     ));
-    for (name, region) in &options.fences {
+    for (name, region) in &fences {
         let id = store
             .geofences()
             .register(name, *region, None)
@@ -824,15 +692,13 @@ fn run_geofence(options: &GeofenceOptions) -> Result<(), String> {
     }
     let subscription = store.geofences().subscribe(65536, None);
 
-    let config = PipelineConfig::new(options.fleet.epsilon)
-        .with_workers(options.fleet.workers)
-        .with_batch_size(options.fleet.batch);
+    let config = options.pipeline();
     let span = fleet.iter().map(|(_, t)| t.last().t).fold(0.0f64, f64::max) + 60.0;
     let mut total_alerts = 0usize;
-    for wave in 0..options.waves {
+    for wave in 0..waves {
         let shifted = shifted_fleet(&fleet, span * wave as f64);
         let (_, ingested) =
-            compress_fleet_into_shared_store(&shifted, &config, &algorithm, &store)?;
+            compress_fleet_into_shared_store(&shifted, &config, &options.algorithm, &store)?;
         let mut alerts = subscription.poll(usize::MAX);
         alerts.sort_by_key(|a| a.seq);
         for a in &alerts {
@@ -850,17 +716,14 @@ fn run_geofence(options: &GeofenceOptions) -> Result<(), String> {
         }
         total_alerts += alerts.len();
         eprintln!(
-            "wave {}/{}: ingested {} streams, {} alerts",
+            "wave {}/{waves}: ingested {ingested} streams, {} alerts",
             wave + 1,
-            options.waves,
-            ingested,
             alerts.len()
         );
     }
     let stats = store.geofences().stats();
     println!(
-        "alerts       : {total_alerts} across {} waves ({} dropped by this subscriber)",
-        options.waves,
+        "alerts       : {total_alerts} across {waves} waves ({} dropped by this subscriber)",
         subscription.dropped()
     );
     println!(
@@ -872,156 +735,38 @@ fn run_geofence(options: &GeofenceOptions) -> Result<(), String> {
     Ok(())
 }
 
-struct ServeOptions {
-    dir: Option<String>,
-    addr: String,
-    port: u16,
-    server_workers: usize,
-    shards: usize,
-    live_waves: usize,
-    shutdown_endpoint: bool,
-    durable: Option<String>,
-    durability: trajsimp::store::DurabilityMode,
-    cache_bytes: Option<usize>,
-    eviction: EvictionKind,
-    slow_query_ms: Option<u64>,
-    fences: Vec<(String, BoundingBox)>,
-    fleet: FleetOptions,
-}
-
-/// Parses a `--durability` value: `async`, `group-commit`, or
-/// `group-commit:WINDOW_MS`.
-fn parse_durability(value: &str) -> Result<trajsimp::store::DurabilityMode, String> {
-    use trajsimp::store::DurabilityMode;
-    match value {
-        "async" => Ok(DurabilityMode::WalAsync),
-        "group-commit" => Ok(DurabilityMode::WalGroupCommit(
-            std::time::Duration::from_millis(2),
-        )),
-        other => {
-            if let Some(ms) = other.strip_prefix("group-commit:") {
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|e| format!("--durability {other}: {e}"))?;
-                Ok(DurabilityMode::WalGroupCommit(
-                    std::time::Duration::from_millis(ms),
-                ))
-            } else {
-                Err(format!(
-                    "--durability must be 'async', 'group-commit' or 'group-commit:MS', got '{other}'"
-                ))
-            }
-        }
-    }
-}
-
-fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
-    let mut dir = None;
-    let mut addr = "127.0.0.1".to_string();
-    let mut port = 7878u16;
-    let mut server_workers = 4usize;
-    let mut shards = 16usize;
-    let mut live_waves = 0usize;
-    let mut shutdown_endpoint = true;
-    let mut durable = None;
-    let mut durability =
-        trajsimp::store::DurabilityMode::WalGroupCommit(std::time::Duration::from_millis(2));
-    let mut cache_bytes = None;
-    let mut eviction = EvictionKind::default();
-    let mut slow_query_ms = None;
-    let mut fences = Vec::new();
-    let mut fleet_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            // The endpoint is unauthenticated; anyone binding beyond
-            // loopback should turn it off (and stop the server by signal).
-            "--no-shutdown-endpoint" => shutdown_endpoint = false,
-            "--addr" => addr = value()?.to_string(),
-            "--port" => port = value()?.parse().map_err(|e| format!("{arg}: {e}"))?,
-            "--server-workers" => {
-                server_workers = value()?.parse().map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--shards" => shards = value()?.parse().map_err(|e| format!("{arg}: {e}"))?,
-            "--live" => live_waves = value()?.parse().map_err(|e| format!("{arg}: {e}"))?,
-            "--durable" => durable = Some(value()?.to_string()),
-            "--durability" => durability = parse_durability(value()?)?,
-            "--cache-bytes" => {
-                let v = value()?;
-                cache_bytes = Some(v.parse().map_err(|e| format!("{arg}: {e}"))?);
-            }
-            "--eviction" => eviction = parse_eviction(value()?)?,
-            "--fence" => fences.push(parse_fence(value()?)?),
-            "--slow-query-ms" => {
-                slow_query_ms = Some(value()?.parse().map_err(|e| format!("{arg}: {e}"))?)
-            }
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(other.to_string());
-            }
-            other => {
-                // A fleet flag passes through with its value, so it cannot
-                // be mistaken for the store-directory positional.
-                fleet_args.push(other.to_string());
-                if let Some(v) = it.next() {
-                    fleet_args.push(v.to_string());
-                }
-            }
-        }
-    }
-    // Everything else (trajectories, points, workers, algorithm, epsilon,
-    // dataset, seed) is shared with `fleet` and used for synthetic mode.
-    let fleet = parse_fleet_args(&fleet_args)?;
-    Ok(ServeOptions {
-        dir,
-        addr,
-        port,
-        server_workers,
-        shards,
-        live_waves,
-        shutdown_endpoint,
-        durable,
-        durability,
-        cache_bytes,
-        eviction,
-        slow_query_ms,
-        fences,
-        fleet,
-    })
-}
-
-/// `fleet` with every timestamp shifted forward by `offset` seconds — the
-/// "next wave" of a live feed (per-device logs are append-only in time).
-fn shifted_fleet(fleet: &[(DeviceId, Trajectory)], offset: f64) -> Vec<(DeviceId, Trajectory)> {
-    fleet
-        .iter()
-        .map(|(device, traj)| {
-            let points = traj
-                .points()
-                .iter()
-                .map(|p| trajsimp::geo::Point::new(p.x, p.y, p.t + offset))
-                .collect();
-            (*device, Trajectory::new_unchecked(points))
-        })
-        .collect()
-}
-
-fn run_serve(options: &ServeOptions) -> Result<(), String> {
+fn serve(mut flags: Flags) -> Result<(), String> {
     use trajsimp::service::{Server, ServiceConfig};
-    use trajsimp::store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
 
-    let Some(algorithm) = FleetAlgorithm::by_name(&options.fleet.algorithm) else {
-        return Err(format!("unknown algorithm '{}'", options.fleet.algorithm));
-    };
-    if options.dir.is_some() && options.live_waves > 0 {
+    // The endpoint is unauthenticated; anyone binding beyond loopback
+    // should turn it off (and stop the server by signal).
+    let shutdown_endpoint = !flags.switch("--no-shutdown-endpoint");
+    let addr = flags
+        .get(&["--addr"], text)?
+        .unwrap_or_else(|| "127.0.0.1".to_string());
+    let port: u16 = flags.get(&["--port"], parsed)?.unwrap_or(7878);
+    let server_workers = flags.get(&["--server-workers"], parsed)?.unwrap_or(4usize);
+    let shards = flags.get(&["--shards"], parsed)?.unwrap_or(16usize);
+    let live_waves = flags.get(&["--live"], parsed)?.unwrap_or(0usize);
+    let durable = flags.get(&["--durable"], text)?;
+    let durability = flags
+        .get(&["--durability"], durability)?
+        .unwrap_or(DurabilityMode::WalGroupCommit(Duration::from_millis(2)));
+    let slow_query_ms = flags.get(&["--slow-query-ms"], parsed)?;
+    let fences = flags.all(&["--fence"], fence)?;
+    let config = store_config(&mut flags)?;
+    // The fleet flags build the synthetic store when no DIR is given.
+    let options = FleetOptions::parse(&mut flags)?;
+    let dir = flags.positional();
+    flags.finish()?;
+
+    if dir.is_some() && live_waves > 0 {
         // Live waves re-compress the synthetic fleet; a persisted store
         // has no originals to extend, so the flag would silently do
         // nothing — refuse instead.
         return Err("--live requires synthetic mode (omit the store directory)".to_string());
     }
-    if options.dir.is_some() && options.durable.is_some() {
+    if dir.is_some() && durable.is_some() {
         return Err(
             "--durable opens its own store directory; it cannot be combined with the \
              read-only store-directory positional"
@@ -1029,16 +774,12 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
         );
     }
     let mut live_fleet = None;
-    let store = match &options.dir {
+    let store = match &dir {
         Some(dir) => {
             // Recovery mode: after a crash mid-append the store comes back
             // up with the longest valid log prefix instead of refusing.
-            let config = StoreConfig::default()
-                .with_cache_bytes(options.cache_bytes)
-                .with_eviction(options.eviction);
-            let (store, report) =
-                ShardedStore::open_recover_with(std::path::Path::new(dir), options.shards, config)
-                    .map_err(|e| e.to_string())?;
+            let (store, report) = ShardedStore::open_recover_with(Path::new(dir), shards, config)
+                .map_err(|e| e.to_string())?;
             if report.is_clean() {
                 eprintln!("opened {dir} ({} blocks)", report.blocks_recovered);
             } else {
@@ -1050,38 +791,20 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
                     report.dropped_reason.as_deref().unwrap_or("count mismatch"),
                 );
             }
-            std::sync::Arc::new(store)
+            Arc::new(store)
         }
         None => {
-            eprintln!(
-                "generating {} {} trajectories of {} points each (seed {}) …",
-                options.fleet.trajectories,
-                options.fleet.dataset,
-                options.fleet.points,
-                options.fleet.seed
-            );
-            let generator = DatasetGenerator::for_kind(options.fleet.dataset, options.fleet.seed);
-            let fleet: Vec<(DeviceId, Trajectory)> = (0..options.fleet.trajectories)
-                .map(|i| {
-                    (
-                        i as DeviceId,
-                        generator.generate_trajectory(i, options.fleet.points),
-                    )
-                })
-                .collect();
-            let store_config = StoreConfig::default()
-                .with_block_segments(32)
-                .with_cache_bytes(options.cache_bytes)
-                .with_eviction(options.eviction);
-            let store = match &options.durable {
+            let fleet = options.generate();
+            let store_config = config.with_block_segments(32);
+            let store = match &durable {
                 // Durable live ingest: every acknowledged stream is in the
                 // write-ahead log before the sink moves on, and a crash
                 // recovers to exactly the acknowledged prefix.
                 Some(dir) => {
                     let (store, report) = ShardedStore::open_durable(
-                        std::path::Path::new(dir),
-                        options.shards,
-                        store_config.with_durability(options.durability),
+                        Path::new(dir),
+                        shards,
+                        store_config.with_durability(durability),
                     )
                     .map_err(|e| format!("open durable store {dir}: {e}"))?;
                     if report.is_clean() {
@@ -1100,9 +823,9 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
                             report.wal.bytes_dropped,
                         );
                     }
-                    std::sync::Arc::new(store)
+                    Arc::new(store)
                 }
-                None => std::sync::Arc::new(ShardedStore::new(store_config, options.shards)),
+                None => Arc::new(ShardedStore::new(store_config, shards)),
             };
             // A durable directory that already holds data (recovered or
             // checkpointed) keeps it: the initial synthetic ingest is the
@@ -1110,11 +833,12 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
             // only bounce off the per-device out-of-order guard.  Live
             // waves resume *past* the recovered data instead (below).
             if store.stats().points == 0 {
-                let config = PipelineConfig::new(options.fleet.epsilon)
-                    .with_workers(options.fleet.workers)
-                    .with_batch_size(options.fleet.batch);
-                let (_, ingested) =
-                    compress_fleet_into_shared_store(&fleet, &config, &algorithm, &store)?;
+                let (_, ingested) = compress_fleet_into_shared_store(
+                    &fleet,
+                    &options.pipeline(),
+                    &options.algorithm,
+                    &store,
+                )?;
                 eprintln!("ingested {ingested} streams");
             } else {
                 eprintln!(
@@ -1131,7 +855,7 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
     // Standing fences watch ingests from here on (forward-only); poll
     // them with GET /subscribe.  A durable store reloads its persisted
     // fences, so a same-named fence is kept rather than duplicated.
-    for (name, region) in &options.fences {
+    for (name, region) in &fences {
         if store.geofences().fences().iter().any(|f| f.name == *name) {
             eprintln!("geofence '{name}' already registered (persisted) — keeping it");
             continue;
@@ -1146,37 +870,30 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
         );
     }
 
-    let mut service_config = ServiceConfig::default().with_workers(options.server_workers);
-    service_config.enable_shutdown_endpoint = options.shutdown_endpoint;
-    if let Some(ms) = options.slow_query_ms {
+    let mut service_config = ServiceConfig::default().with_workers(server_workers);
+    service_config.enable_shutdown_endpoint = shutdown_endpoint;
+    if let Some(ms) = slow_query_ms {
         // 0 traces every request into the slow log — handy for probing a
         // healthy server's span tree.
-        service_config =
-            service_config.with_slow_query_threshold(Some(std::time::Duration::from_millis(ms)));
+        service_config = service_config.with_slow_query_threshold(Some(Duration::from_millis(ms)));
     }
-    if options.shutdown_endpoint && options.addr != "127.0.0.1" && options.addr != "localhost" {
+    if shutdown_endpoint && addr != "127.0.0.1" && addr != "localhost" {
         eprintln!(
-            "warning: binding {} with the unauthenticated /shutdown endpoint enabled — \
-             anyone who can reach the port can stop the server; consider --no-shutdown-endpoint",
-            options.addr
+            "warning: binding {addr} with the unauthenticated /shutdown endpoint enabled — \
+             anyone who can reach the port can stop the server; consider --no-shutdown-endpoint"
         );
     }
-    let server = Server::start(
-        std::sync::Arc::clone(&store),
-        (options.addr.as_str(), options.port),
-        service_config,
-    )
-    .map_err(|e| format!("cannot bind {}:{}: {e}", options.addr, options.port))?;
+    let server = Server::start(Arc::clone(&store), (addr.as_str(), port), service_config)
+        .map_err(|e| format!("cannot bind {addr}:{port}: {e}"))?;
     let stats = store.stats();
     println!("listening on http://{}", server.local_addr());
     println!(
-        "serving {} devices, {} blocks, {} segments ({} shards, {} workers); {}",
+        "serving {} devices, {} blocks, {} segments ({} shards, {server_workers} workers); {}",
         stats.devices,
         stats.blocks,
         stats.segments,
         store.num_shards(),
-        options.server_workers,
-        if options.shutdown_endpoint {
+        if shutdown_endpoint {
             "GET /shutdown stops"
         } else {
             "shutdown endpoint disabled — stop by signal"
@@ -1185,13 +902,11 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
 
     // Live mode: keep compressing later waves of the same fleet into the
     // store while the server answers queries — ingest and reads overlap.
-    let ingest_thread = match (options.live_waves, live_fleet) {
+    let ingest_thread = match (live_waves, live_fleet) {
         (waves, Some(fleet)) if waves > 0 => {
-            let store = std::sync::Arc::clone(&store);
-            let config = PipelineConfig::new(options.fleet.epsilon)
-                .with_workers(options.fleet.workers)
-                .with_batch_size(options.fleet.batch);
-            let algorithm_name = options.fleet.algorithm.clone();
+            let store = Arc::clone(&store);
+            let config = options.pipeline();
+            let algorithm = options.algorithm.clone();
             let span = fleet.iter().map(|(_, t)| t.last().t).fold(0.0f64, f64::max) + 60.0;
             // Each wave shifts the fleet by `span`; the initial ingest is
             // wave 0.  A resumed durable store starts past everything it
@@ -1201,8 +916,6 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
             let per_wave: usize = fleet.iter().map(|(_, t)| t.len()).sum();
             let first = store.stats().points.div_ceil(per_wave.max(1)).max(1);
             Some(std::thread::spawn(move || {
-                let algorithm =
-                    FleetAlgorithm::by_name(&algorithm_name).expect("algorithm validated above");
                 for offset in 0..waves {
                     let (wave, n_of) = (first + offset, offset + 1);
                     let shifted = shifted_fleet(&fleet, span * wave as f64);
@@ -1223,7 +936,7 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
     if let Some(h) = ingest_thread {
         let _ = h.join();
     }
-    if options.durable.is_some() {
+    if durable.is_some() {
         // A graceful shutdown folds the WAL into the main files, so the
         // next open starts from a clean checkpoint instead of a replay.
         match store.checkpoint() {
@@ -1242,146 +955,28 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
     Ok(())
 }
 
+/// A mode of the command line: it reads its arguments, then runs.
+type Mode = fn(Flags) -> Result<(), String>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => {
-            return match parse_serve_args(&args[1..]).and_then(|o| run_serve(&o)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}\n{USAGE}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("store") => {
-            return match parse_store_args(&args[1..]).and_then(|o| run_store(&o)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}\n{USAGE}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("query") => {
-            return match parse_query_args(&args[1..]).and_then(|o| run_query(&o)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}\n{USAGE}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("knn") => {
-            return match parse_knn_args(&args[1..]).and_then(|o| run_knn(&o)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}\n{USAGE}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("geofence") => {
-            return match parse_geofence_args(&args[1..]).and_then(|o| run_geofence(&o)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}\n{USAGE}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        _ => {}
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        let options = match parse_fleet_args(&args[1..]) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match run_fleet(&options) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let options = match parse_args(&args) {
-        Ok(o) => o,
+    let (run, rest): (Mode, &[String]) = match args.first().map(String::as_str) {
+        Some("fleet") => (fleet, &args[1..]),
+        Some("store") => (store, &args[1..]),
+        Some("query") => (query, &args[1..]),
+        Some("knn") => (knn, &args[1..]),
+        Some("geofence") => (geofence, &args[1..]),
+        Some("serve") => (serve, &args[1..]),
+        _ => (single_file, &args),
+    };
+    match run(Flags(rest.to_vec())) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("{msg}\n{USAGE}");
-            return ExitCode::FAILURE;
+            eprintln!(
+                "{msg}\n{USAGE}\nalgorithms: {}",
+                FleetAlgorithm::all_names().join(", ")
+            );
+            ExitCode::FAILURE
         }
-    };
-    let Some(algorithm) = algorithm_by_name(&options.algorithm) else {
-        eprintln!("unknown algorithm '{}'\n{USAGE}", options.algorithm);
-        return ExitCode::FAILURE;
-    };
-    let trajectory = match load(&options.input) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let start = Instant::now();
-    let simplified = match algorithm.simplify(&trajectory, options.epsilon) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("simplification failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let elapsed = start.elapsed();
-
-    println!(
-        "input        : {} ({} points)",
-        options.input,
-        trajectory.len()
-    );
-    println!(
-        "algorithm    : {} (ζ = {} m)",
-        algorithm.name(),
-        options.epsilon
-    );
-    println!("segments     : {}", simplified.num_segments());
-    println!("ratio        : {:.4}", simplified.compression_ratio());
-    println!(
-        "max error    : {:.2} m",
-        max_error(&trajectory, &simplified)
-    );
-    println!(
-        "avg error    : {:.2} m",
-        average_error(&trajectory, &simplified)
-    );
-    println!(
-        "time         : {:.2} ms ({:.0} points/s)",
-        elapsed.as_secs_f64() * 1e3,
-        trajectory.len() as f64 / elapsed.as_secs_f64().max(1e-12)
-    );
-
-    if let Some(out_path) = options.output {
-        let file = match File::create(&out_path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot create {out_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut writer = BufWriter::new(file);
-        for p in simplified.shape_points() {
-            if let Err(e) = writeln!(writer, "{},{},{}", p.x, p.y, p.t) {
-                eprintln!("write error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        println!(
-            "output       : {out_path} ({} shape points)",
-            simplified.num_shape_points()
-        );
     }
-    ExitCode::SUCCESS
 }

@@ -2,12 +2,13 @@
 //! algorithms read every point exactly once, emit segments incrementally
 //! and agree with their batch front ends.
 
-use trajsimp::baselines::Fbqs;
+use trajsimp::baselines::{Bqs, Fbqs, OpeningWindow};
 use trajsimp::data::{DatasetGenerator, DatasetKind};
 use trajsimp::model::{
     BatchSimplifier, CountingSource, SimplifiedTrajectory, StreamingSimplifier, Trajectory,
 };
 use trajsimp::operb::{Operb, OperbA, OperbAStream, OperbStream};
+use trajsimp::pipeline::FleetAlgorithm;
 
 fn sample_trajectory() -> Trajectory {
     DatasetGenerator::for_kind(DatasetKind::Taxi, 99).generate_trajectory(0, 1_500)
@@ -15,8 +16,8 @@ fn sample_trajectory() -> Trajectory {
 
 /// Drives a streaming simplifier from a [`CountingSource`] and returns the
 /// assembled output plus the source for read accounting.
-fn run_streaming<S: StreamingSimplifier>(
-    mut simplifier: S,
+fn run_streaming<S: StreamingSimplifier + ?Sized>(
+    simplifier: &mut S,
     trajectory: &Trajectory,
 ) -> (SimplifiedTrajectory, CountingSource) {
     let mut source = CountingSource::new(trajectory.points().to_vec());
@@ -34,7 +35,7 @@ fn run_streaming<S: StreamingSimplifier>(
 #[test]
 fn operb_reads_each_point_exactly_once() {
     let traj = sample_trajectory();
-    let (out, source) = run_streaming(OperbStream::new(40.0), &traj);
+    let (out, source) = run_streaming(&mut OperbStream::new(40.0), &traj);
     assert!(source.is_single_pass(), "OPERB must be one-pass");
     assert_eq!(source.total_reads(), traj.len());
     assert!(out.num_segments() >= 1);
@@ -43,7 +44,7 @@ fn operb_reads_each_point_exactly_once() {
 #[test]
 fn operb_a_reads_each_point_exactly_once() {
     let traj = sample_trajectory();
-    let (out, source) = run_streaming(OperbAStream::new(40.0), &traj);
+    let (out, source) = run_streaming(&mut OperbAStream::new(40.0), &traj);
     assert!(source.is_single_pass(), "OPERB-A must be one-pass");
     assert!(out.num_segments() >= 1);
 }
@@ -51,22 +52,58 @@ fn operb_a_reads_each_point_exactly_once() {
 #[test]
 fn fbqs_reads_each_point_exactly_once() {
     let traj = sample_trajectory();
-    let (out, source) = run_streaming(Fbqs::stream(40.0), &traj);
+    let (out, source) = run_streaming(&mut Fbqs::stream(40.0), &traj);
     assert!(source.is_single_pass(), "FBQS must be one-pass");
     assert!(out.num_segments() >= 1);
 }
 
+/// The batch front end of every streaming algorithm in the registry.
+fn batch_front_end(name: &str) -> Box<dyn BatchSimplifier> {
+    match name {
+        "operb" => Box::new(Operb::new()),
+        "raw-operb" => Box::new(Operb::raw()),
+        "operb-a" => Box::new(OperbA::new()),
+        "raw-operb-a" => Box::new(OperbA::raw()),
+        "opw" => Box::new(OpeningWindow::new()),
+        "bqs" => Box::new(Bqs::new()),
+        "fbqs" => Box::new(Fbqs::new()),
+        other => panic!("no batch front end listed for streaming algorithm '{other}'"),
+    }
+}
+
 #[test]
 fn streaming_and_batch_outputs_agree() {
+    // Every streaming name the registry resolves: its per-stream factory,
+    // which the pipeline and the CLI run, must equal its batch front end.
+    let streaming: Vec<&str> = FleetAlgorithm::all_names()
+        .iter()
+        .copied()
+        .filter(|name| FleetAlgorithm::by_name(name).unwrap().is_streaming())
+        .collect();
+    assert_eq!(
+        streaming,
+        [
+            "operb",
+            "raw-operb",
+            "operb-a",
+            "raw-operb-a",
+            "opw",
+            "bqs",
+            "fbqs"
+        ]
+    );
     let traj = sample_trajectory();
-    for zeta in [15.0, 40.0, 80.0] {
-        let (streamed, _) = run_streaming(OperbStream::new(zeta), &traj);
-        let batch = Operb::new().simplify(&traj, zeta).expect("valid input");
-        assert_eq!(streamed, batch, "OPERB streaming vs batch at ζ = {zeta}");
-
-        let (streamed, _) = run_streaming(OperbAStream::new(zeta), &traj);
-        let batch = OperbA::new().simplify(&traj, zeta).expect("valid input");
-        assert_eq!(streamed, batch, "OPERB-A streaming vs batch at ζ = {zeta}");
+    for name in streaming {
+        let Some(FleetAlgorithm::Streaming { factory, .. }) = FleetAlgorithm::by_name(name) else {
+            unreachable!("filtered to streaming algorithms");
+        };
+        for zeta in [15.0, 40.0, 80.0] {
+            let (streamed, _) = run_streaming(&mut *factory(zeta), &traj);
+            let batch = batch_front_end(name)
+                .simplify(&traj, zeta)
+                .expect("valid input");
+            assert_eq!(streamed, batch, "{name} streaming vs batch at ζ = {zeta}");
+        }
     }
 }
 
