@@ -35,7 +35,8 @@
 //! * a spatial window query has **no false negatives**: any original
 //!   point inside the window is within `ζ + slack` of some returned
 //!   segment of its device (matching is conservative by `ζ + slack` at
-//!   both the block and the segment level);
+//!   both the block and the segment level, and a segment that owns
+//!   points past its end is also tested against its own ζ-strip);
 //! * [`TrajStore::position_at`] returns a point on the stored piecewise
 //!   line, which is within `ζ + slack` of the original trajectory in
 //!   the paper's perpendicular sense.

@@ -645,10 +645,14 @@ impl TrajStore {
                 chunk.to_vec(),
                 chunk.last().expect("chunks are non-empty").last_index + 1,
             );
-            let payload = self
+            let mut payload = self
                 .config
                 .codec
                 .encode_block(self.config.format, &fragment)?;
+            // The encoder reserves a size guess and grows past it; a
+            // resident payload lives as long as the store, so keep only
+            // its bytes.
+            payload.shrink_to_fit();
             let mut meta = BlockMeta::from_segments(device, chunk, zeta, slack);
             if let Some(points) = original {
                 meta.extend_with_points(points);
@@ -910,11 +914,15 @@ impl TrajStore {
     /// Candidate blocks come from the grid index; each candidate is
     /// re-checked against its precise metadata and only survivors are
     /// decoded (scope for the skip statistics: every block in the store).
-    /// Matching is conservative by `ζ + quantization slack` at both the
-    /// block and the segment level, so for data ingested through
+    /// A decoded segment is returned when its endpoint box, expanded by
+    /// `ζ + quantization slack`, meets the window.  A segment that also
+    /// owns points past its end (an absorbing one) is returned, too, when
+    /// its own ζ-strip meets the block's exact box inside the window
+    /// (see `strip_hits`).  So for data ingested through
     /// [`TrajStore::ingest_with_original`] any original point inside the
     /// window is within `ζ + slack` of some returned segment of its
-    /// device — no false negatives with respect to the stored bound.
+    /// device — no false negatives with respect to the stored bound —
+    /// and the answer grows with the window, not with the block size.
     pub fn window_query(&self, window: &BoundingBox, time: Option<(f64, f64)>) -> WindowQuery {
         let mut query_span = traj_obs::span("window_query");
         let mut query = WindowQuery {
@@ -941,15 +949,13 @@ impl TrajStore {
             let radius = block.meta.slack_radius();
             let segments = arena.segments();
             for (j, s) in segments.iter().enumerate() {
-                // Absorbing segments are responsible for points the
-                // endpoint box cannot see; fall back to the block's exact
-                // metadata box for them.
-                let covered = if is_absorbing(segments, j, &block.meta) {
-                    block.meta.bbox
-                } else {
-                    endpoint_bbox(s)
-                };
-                if !expanded_intersects(&covered, radius, window) {
+                // Absorbing segments are also responsible for points past
+                // their end, which the endpoint box cannot see; those
+                // points lie in the segment's ζ-strip.
+                let hit = expanded_intersects(&endpoint_bbox(s), radius, window)
+                    || (is_absorbing(segments, j, &block.meta)
+                        && strip_hits(s, &block.meta, window));
+                if !hit {
                     continue;
                 }
                 if let Some((t0, t1)) = time {
@@ -1106,6 +1112,58 @@ fn is_absorbing(segments: &[SimplifiedSegment], j: usize, meta: &BlockMeta) -> b
     } else {
         meta.t_max > time_span(&segments[j]).1
     }
+}
+
+/// Whether an absorbing segment's ζ-strip meets the block's exact box
+/// inside `window` — the test for the points it owns past its end.
+///
+/// Every such point lies within ζ of the line through the segment's
+/// original endpoints (optimization 5 absorbs a point only within ζ of
+/// that line, and inactive points attributed after the last active
+/// point are checked against it too), and inside `meta.bbox`, which
+/// [`BlockMeta::extend_with_points`] makes exact.  So the test projects
+/// the corners of `R = meta.bbox ∩ window` onto the unit normal of the
+/// *decoded* line and hits when they overlap `[−w, w]`.  Quantization
+/// moves each endpoint by at most `s = quant_slack`, which tilts the
+/// line: at distance `D` from the start it is off by at most
+/// `s · (1 + 2(D + s)/(ℓ′ − 2s))` for decoded length `ℓ′`, so
+/// `w = ζ + s · (1 + 2(D + s)/(ℓ′ − 2s))` with `D` the farthest corner
+/// of `R`.  A segment too short to bound the tilt (`ℓ′ ≤ 2s`) hits.
+///
+/// An interpolated endpoint (an OPERB-A patch point) is not an original
+/// point, so the strip argument does not hold; such a segment falls back
+/// to the block's expanded box.
+fn strip_hits(s: &SimplifiedSegment, meta: &BlockMeta, window: &BoundingBox) -> bool {
+    if s.interpolated_start || s.interpolated_end {
+        return expanded_intersects(&meta.bbox, meta.slack_radius(), window);
+    }
+    let r = BoundingBox {
+        min_x: meta.bbox.min_x.max(window.min_x),
+        min_y: meta.bbox.min_y.max(window.min_y),
+        max_x: meta.bbox.max_x.min(window.max_x),
+        max_y: meta.bbox.max_y.min(window.max_y),
+    };
+    if r.min_x > r.max_x || r.min_y > r.max_y {
+        return false;
+    }
+    let (a, b) = (s.segment.start, s.segment.end);
+    let (dx, dy) = (b.x - a.x, b.y - a.y);
+    let len = dx.hypot(dy);
+    let slack = meta.quant_slack;
+    if len <= 2.0 * slack {
+        return true;
+    }
+    let (nx, ny) = (-dy / len, dx / len);
+    let (mut lo, mut hi, mut far) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+    for c in r.corners() {
+        let (rx, ry) = (c.x - a.x, c.y - a.y);
+        let d = rx * nx + ry * ny;
+        lo = lo.min(d);
+        hi = hi.max(d);
+        far = far.max(rx.hypot(ry));
+    }
+    let w = meta.zeta + slack * (1.0 + 2.0 * (far + slack) / (len - 2.0 * slack));
+    lo <= w && -w <= hi
 }
 
 /// Bounding box over a segment's two endpoints.
@@ -1326,6 +1384,117 @@ mod tests {
         store.ingest(1, &straight_line(0.0, 100.0, 2), 5.0).unwrap();
         assert!(store.position_at(1, 50.0).is_none());
         assert!(store.position_at(1, 100.0).is_some());
+    }
+
+    /// One block with an absorbing segment: A = (0,0)→(100,0) owns
+    /// points 0..=4, the last three absorbed east of its end along its
+    /// line; B = (100,0)→(100,400) then heads north from A's end.
+    fn absorbed_tail_store() -> TrajStore {
+        let originals = [
+            Point::new(0.0, 0.0, 0.0),
+            Point::new(100.0, 0.0, 10.0),
+            Point::new(200.0, 2.0, 20.0),
+            Point::new(300.0, -2.0, 30.0),
+            Point::new(400.0, 1.0, 40.0),
+            Point::new(100.0, 400.0, 50.0),
+        ];
+        let a = SimplifiedSegment::new(DirectedSegment::new(originals[0], originals[1]), 0, 4);
+        let b = SimplifiedSegment::new(DirectedSegment::new(originals[1], originals[5]), 1, 5);
+        let simplified = SimplifiedTrajectory::new(vec![a, b], 6);
+        let mut store = TrajStore::default();
+        store
+            .ingest_with_original(1, &originals, &simplified, 5.0)
+            .unwrap();
+        store
+    }
+
+    #[test]
+    fn window_finds_a_tail_absorbed_past_the_end() {
+        let store = absorbed_tail_store();
+        // Around the last absorbed point, 300 m past A's end: A's
+        // endpoint box misses, its strip does not; B is far away.
+        let q = store.window_query(&window(390.0, -10.0, 410.0, 10.0), None);
+        assert_eq!(q.matches.len(), 1);
+        let segments = &q.matches[0].segments;
+        assert_eq!(segments.len(), 1);
+        assert_eq!((segments[0].first_index, segments[0].last_index), (0, 4));
+    }
+
+    #[test]
+    fn window_inside_the_block_box_but_off_the_strip_misses() {
+        let store = absorbed_tail_store();
+        // Inside the block box (x ∈ [0, 400], y ∈ [−2, 400]) but 150 m
+        // off A's line and 150 m off B: the block is decoded, nothing is
+        // returned.
+        let q = store.window_query(&window(250.0, 150.0, 350.0, 250.0), None);
+        assert_eq!(q.stats.blocks_decoded, 1);
+        assert!(q.matches.is_empty(), "{:?}", q.matches);
+    }
+
+    /// Block metadata over `x, y ∈ [−500, 500]` at ζ = 5 m and a coarse
+    /// quantization slack of 0.5 m.
+    fn wide_meta(s: &SimplifiedSegment) -> BlockMeta {
+        let mut meta = BlockMeta::from_segments(1, std::slice::from_ref(s), 5.0, 0.5);
+        meta.bbox = window(-500.0, -500.0, 500.0, 500.0);
+        meta
+    }
+
+    #[test]
+    fn strip_of_a_segment_too_short_to_tilt_is_conservative() {
+        let east = |len: f64| {
+            SimplifiedSegment::new(
+                DirectedSegment::new(Point::new(0.0, 0.0, 0.0), Point::new(len, 0.0, 1.0)),
+                0,
+                3,
+            )
+        };
+        // 300 m north of the line, inside the block box.
+        let off_line = window(290.0, 290.0, 310.0, 310.0);
+        // ℓ′ = 1 m ≤ 2s: the tilt is unbounded, so the strip hits.
+        let short = east(1.0);
+        assert!(strip_hits(&short, &wide_meta(&short), &off_line));
+        // A 100 m segment on the same line bounds it and misses.
+        let long = east(100.0);
+        assert!(!strip_hits(&long, &wide_meta(&long), &off_line));
+        // Outside the block box nothing can hit, short or not.
+        let outside = window(600.0, 600.0, 700.0, 700.0);
+        assert!(!strip_hits(&short, &wide_meta(&short), &outside));
+    }
+
+    #[test]
+    fn strip_of_an_interpolated_endpoint_falls_back_to_the_block_box() {
+        let mut s = SimplifiedSegment::new(
+            DirectedSegment::new(Point::new(0.0, 0.0, 0.0), Point::new(100.0, 0.0, 10.0)),
+            0,
+            3,
+        );
+        let meta = wide_meta(&s);
+        let off_line = window(290.0, 290.0, 310.0, 310.0);
+        // Just outside the box, within ζ + slack of it.
+        let beside_box = window(503.0, 0.0, 510.0, 10.0);
+        assert!(!strip_hits(&s, &meta, &off_line));
+        assert!(!strip_hits(&s, &meta, &beside_box));
+        s.interpolated_end = true;
+        assert!(strip_hits(&s, &meta, &off_line));
+        assert!(strip_hits(&s, &meta, &beside_box));
+        s.interpolated_end = false;
+        s.interpolated_start = true;
+        assert!(strip_hits(&s, &meta, &off_line));
+    }
+
+    #[test]
+    fn sealed_payloads_hold_no_spare_capacity() {
+        let mut store = TrajStore::new(StoreConfig::default().with_block_segments(8));
+        store.ingest(1, &straight_line(0.0, 0.0, 50), 5.0).unwrap();
+        let mut resident = 0;
+        for block in store.stored_blocks() {
+            let PayloadSlot::Resident(bytes) = &block.payload else {
+                panic!("a fresh ingest is resident");
+            };
+            assert_eq!(bytes.capacity(), bytes.len());
+            resident += 1;
+        }
+        assert_eq!(resident, 7);
     }
 
     #[test]

@@ -135,9 +135,10 @@ fn window_query_has_no_false_negatives() {
             }
         }
         // (Matching is deliberately conservative: an absorbing segment is
-        // matched through its block's bounding box, so a returned segment
-        // can occasionally be far from the window itself.  Precision is
-        // covered by the skip-ratio assertions and the unit tests.)
+        // matched through its own ζ-strip, so a returned segment can lie
+        // well past the window along its line.  Precision is covered by
+        // the skip-ratio assertions, the unit tests and the pinned
+        // counts of tests/exact_counts.rs.)
     }
 }
 

@@ -25,9 +25,10 @@ cargo test --release -q -p traj-store --test fault_injection
 cargo test --release -q -p traj-store --test concurrent_stress
 cargo test --release -q -p traj-store --test golden_e2e
 
-echo "==> query engine suites: kNN vs brute force, geofence exactly-once, golden fixtures (release)"
+echo "==> query engine suites: kNN vs brute force, geofence exactly-once, golden fixtures, window coverage (release)"
 cargo test --release -q -p traj-store --test query_engine
 cargo test --release -q -p traj-store --test query_golden
+cargo test --release -q -p traj-store --test window_coverage
 cargo test --release -q -p traj-service --test query_endpoints
 
 echo "==> allocation budgets per request kind and exact counts (release; the workspace tests run them in debug)"

@@ -110,21 +110,26 @@ fn store_footprint_window_skipping_and_buffer_pool() {
     );
 
     // Six 600 m windows centred on real traffic; the worst one still
-    // decodes fewer than a third of the blocks.
+    // decodes fewer than a third of the blocks, and each returns the
+    // segments near the window, not every absorbing segment of the
+    // blocks it decodes.
     let windows: Vec<BoundingBox> = (0..6)
         .map(|w| {
             let (_, traj) = &fleet[(w * 37) % fleet.len()];
             square(traj.point(traj.len() / (w + 2)), 300.0)
         })
         .collect();
-    let worst = windows
+    let answers: Vec<_> = windows
         .iter()
-        .map(|w| {
-            let q = store.window_query(w, None);
-            (q.stats.blocks_decoded, q.stats.blocks_in_scope)
-        })
+        .map(|w| store.window_query(w, None).stats)
+        .collect();
+    let worst = answers
+        .iter()
+        .map(|q| (q.blocks_decoded, q.blocks_in_scope))
         .max();
     assert_eq!(worst, Some((71, 241)));
+    let returned: Vec<usize> = answers.iter().map(|q| q.segments_returned).collect();
+    assert_eq!(returned, [38, 32, 85, 37, 59, 57]);
 
     // Out of core: the payload cache holds a tenth of the stored bytes.
     // A cold pass slices every device and runs every window, then a hot
