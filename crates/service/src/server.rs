@@ -1195,12 +1195,11 @@ fn handle_stats(store: &ShardedStore, shared: &Shared) -> (u16, JsonValue) {
         ));
     }
     // Stores opened from disk page payloads through the buffer pool;
-    // report its policy and counters (absent for purely in-memory stores).
+    // report its counters (absent for purely in-memory stores).
     if let Some(c) = mem.cache {
         sections.push((
             "cache",
             JsonValue::object([
-                ("policy", JsonValue::from(c.policy.name())),
                 (
                     "capacity_bytes",
                     match c.capacity_bytes {
@@ -1387,45 +1386,43 @@ fn render_metrics(shared: &Shared) -> String {
         );
     }
 
-    // Pager (buffer pool).  Zeros under policy "none" when the store has
-    // no disk-backed payloads to page.
+    // Pager (buffer pool).  Zeros when the store has no disk-backed
+    // payloads to page.
     let cache = mem.cache;
-    let policy = cache.as_ref().map_or("none", |c| c.policy.name());
-    let labels = [("eviction_policy", policy)];
     snap.put_counter(
         "pager_hits_total",
         "Block fetches served from the buffer pool.",
-        &labels,
+        &[],
         cache.as_ref().map_or(0, |c| c.hits),
     );
     snap.put_counter(
         "pager_misses_total",
         "Block fetches that read from disk.",
-        &labels,
+        &[],
         cache.as_ref().map_or(0, |c| c.misses),
     );
     snap.put_counter(
         "pager_evictions_total",
         "Pages evicted to stay under the cache budget.",
-        &labels,
+        &[],
         cache.as_ref().map_or(0, |c| c.evictions),
     );
     snap.put_gauge(
         "pager_resident_bytes",
         "Payload bytes resident in the buffer pool.",
-        &labels,
+        &[],
         cache.as_ref().map_or(0, |c| c.resident_bytes) as f64,
     );
     snap.put_gauge(
         "pager_resident_pages",
         "Pages resident in the buffer pool.",
-        &labels,
+        &[],
         cache.as_ref().map_or(0, |c| c.resident_pages) as f64,
     );
     snap.put_gauge(
         "pager_capacity_bytes",
         "Configured cache budget in bytes (0 = unbounded or no pager).",
-        &labels,
+        &[],
         cache.as_ref().and_then(|c| c.capacity_bytes).unwrap_or(0) as f64,
     );
 

@@ -78,7 +78,7 @@ pub mod wal;
 
 pub use block::{Block, BlockMeta};
 pub use index::{BlockRef, GridIndex};
-pub use pager::{CacheStats, EvictionKind, EvictionPolicy};
+pub use pager::CacheStats;
 pub use persist::RecoveryReport;
 pub use query::{
     GeofenceAlert, GeofenceRegistry, GeofenceSpec, GeofenceStats, KnnNeighbor, KnnResult, KnnStats,

@@ -234,8 +234,8 @@ impl TrajStore {
 
     /// [`TrajStore::open`] with runtime configuration: the store's layout
     /// (block size, cell size, codec) always comes from the manifest,
-    /// while the *runtime* fields of `config` — durability, buffer-pool
-    /// capacity and eviction policy — come from the caller.
+    /// while the *runtime* fields of `config` — durability and buffer-pool
+    /// capacity — come from the caller.
     ///
     /// # Errors
     ///
@@ -322,8 +322,7 @@ impl TrajStore {
             ))
             // The runtime knobs are the caller's, not the manifest's.
             .with_durability(runtime.durability)
-            .with_cache_bytes(runtime.cache_bytes)
-            .with_eviction(runtime.eviction);
+            .with_cache_bytes(runtime.cache_bytes);
         let expected_blocks = field("blocks")? as usize;
         let points = field("points")? as usize;
 
@@ -407,7 +406,7 @@ impl TrajStore {
             let estimate = store.stored_blocks().map(|b| b.meta.point_count()).sum();
             store.set_total_points(estimate);
         }
-        let pager = Pager::open(&dir.join(LOG_FILE), config.cache_bytes, config.eviction)?;
+        let pager = Pager::open(&dir.join(LOG_FILE), config.cache_bytes)?;
         store.set_pager(Arc::new(pager));
         Ok((store, report))
     }

@@ -11,7 +11,7 @@
 //! directed segment `s` — computed directly on the piecewise
 //! representation, never on reconstructed points.
 //!
-//! # The ζ+slack lower bound
+//! # The quantization-slack lower bound
 //!
 //! Every decoded segment of a block lies inside the block's metadata
 //! bounding box expanded by the quantization slack (endpoints move by at
@@ -20,13 +20,13 @@
 //! and any stored segment `s` of block `b`:
 //!
 //! ```text
-//! d(q, s) ≥ mindist(q, bbox(b)) − slack_radius(b)
+//! d(q, s) ≥ mindist(q, bbox(b)) − quant_slack(b)
 //! ```
 //!
-//! with `slack_radius = ζ + quant_slack ≥ quant_slack` (the same radius
-//! the window path expands by; using the larger radius also makes the
-//! bound sound against the *original* points, which sit within ζ of the
-//! segments).  Taking the min over a device's blocks per query point and
+//! ζ plays no part: the metric is the distance to the *stored* segments,
+//! not to the original points, which may sit up to ζ further out (that is
+//! why the window path expands by `slack_radius = ζ + quant_slack`, and
+//! kNN does not).  Taking the min over a device's blocks per query point and
 //! averaging yields a sound lower bound on `d(Q, device)` computed from
 //! **resident metadata only** — no payload is touched, so pruning is free
 //! even when every payload lives on disk behind the pager.
@@ -88,7 +88,7 @@ pub struct KnnNeighbor {
     pub distance: f64,
 }
 
-/// Work accounting for one kNN query — how much the ζ+slack bound saved.
+/// Work accounting for one kNN query — how much the metadata bound saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KnnStats {
     /// Devices with at least one stored block.
@@ -190,14 +190,15 @@ pub fn mindist_point_bbox(q: &Point, bbox: &BoundingBox) -> f64 {
 }
 
 /// The per-query-point metadata lower bound against one block: distance
-/// to the bounding box minus the block's ζ+slack radius, clamped at zero.
+/// to the bounding box minus the block's quantization slack, clamped at
+/// zero.
 fn block_lower_bound(q: &Point, meta: &BlockMeta) -> f64 {
     if meta.bbox.is_empty() {
         // A degenerate box covers nothing; no segment can be closer than
         // "anywhere", so the only sound bound is zero.
         return 0.0;
     }
-    (mindist_point_bbox(q, &meta.bbox) - meta.slack_radius()).max(0.0)
+    (mindist_point_bbox(q, &meta.bbox) - meta.quant_slack).max(0.0)
 }
 
 /// The device-level lower bound: for each query point the min bound over
@@ -319,13 +320,25 @@ impl TrajStore {
         candidates.clear();
         let logs = self.device_blocks();
         candidates.reserve(logs.len());
+        let mut longest = 0;
         for (id, blocks) in logs {
             if blocks.is_empty() {
                 continue;
             }
+            longest = longest.max(blocks.len());
             result.stats.blocks_total += blocks.len();
             candidates.push((device_lower_bound(query, blocks), id));
         }
+        // Size the per-device buffers for this store's longest log once,
+        // so their allocations do not depend on the order devices are
+        // scored in.
+        let width = query.len();
+        device.bounds.clear();
+        device.bounds.reserve(longest * width);
+        device.order.clear();
+        device.order.reserve(longest);
+        device.suffix.clear();
+        device.suffix.reserve((longest + 1) * width);
         result.stats.devices_total += candidates.len();
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 

@@ -180,7 +180,7 @@ impl ShardedStore {
 
     /// Opens a store directory written by [`TrajStore::save`] (or
     /// [`ShardedStore::save`]) and shards it, with runtime configuration —
-    /// buffer-pool capacity and eviction policy (see
+    /// the buffer-pool capacity (see
     /// [`TrajStore::open_with`]; `StoreConfig::default()` gives an
     /// unbounded pool).
     ///

@@ -10,7 +10,7 @@ use traj_pipeline::DeviceId;
 
 use crate::block::{expanded_intersects, write_record_header, Block, BlockMeta, META_RECORD_BYTES};
 use crate::index::{BlockRef, GridIndex};
-use crate::pager::{ArenaPool, CacheStats, EvictionKind, Pager};
+use crate::pager::{ArenaPool, CacheStats, Pager};
 use crate::wal::DurabilityMode;
 
 /// Tuning knobs of a [`TrajStore`].
@@ -42,9 +42,6 @@ pub struct StoreConfig {
     /// policy — never persisted, and it does not affect query results,
     /// only which payloads are resident at a given moment.
     pub cache_bytes: Option<usize>,
-    /// Which eviction policy a bounded buffer pool runs.  Irrelevant when
-    /// `cache_bytes` is `None`.
-    pub eviction: EvictionKind,
 }
 
 impl Default for StoreConfig {
@@ -56,7 +53,6 @@ impl Default for StoreConfig {
             format: BlockFormat::default(),
             durability: DurabilityMode::None,
             cache_bytes: None,
-            eviction: EvictionKind::default(),
         }
     }
 }
@@ -96,12 +92,6 @@ impl StoreConfig {
     /// Bounds the payload buffer pool (`None` = unbounded).
     pub fn with_cache_bytes(mut self, cache_bytes: Option<usize>) -> Self {
         self.cache_bytes = cache_bytes;
-        self
-    }
-
-    /// Overrides the eviction policy of a bounded buffer pool.
-    pub fn with_eviction(mut self, eviction: EvictionKind) -> Self {
-        self.eviction = eviction;
         self
     }
 }

@@ -21,8 +21,8 @@ use traj_geo::BoundingBox;
 use traj_model::Trajectory;
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
 use traj_store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, EvictionKind, ShardedStore,
-    StoreConfig, TrajStore,
+    compress_fleet_into_shared_store, compress_fleet_into_store, ShardedStore, StoreConfig,
+    TrajStore,
 };
 
 const WRITERS: usize = 4;
@@ -233,62 +233,55 @@ fn bounded_cache_readers_match_unbounded_answers() {
     );
 
     let unbounded = ShardedStore::open_with(&dir, 8, StoreConfig::default()).expect("open");
-    for kind in EvictionKind::ALL {
-        let bounded = ShardedStore::open_with(
-            &dir,
-            8,
-            StoreConfig::default()
-                .with_cache_bytes(Some(cap))
-                .with_eviction(kind),
-        )
-        .expect("bounded open");
-        std::thread::scope(|scope| {
-            for reader in 0..READERS {
-                let (bounded, unbounded) = (&bounded, &unbounded);
-                scope.spawn(move || {
-                    for round in 0..12 {
-                        let writer = (reader + round) % WRITERS;
-                        let device_in_writer = round % DEVICES_PER_WRITER;
-                        let device = (writer * DEVICES_PER_WRITER + device_in_writer) as DeviceId;
-                        let original = wave_fleet(writer, 0)
-                            .into_iter()
-                            .nth(device_in_writer)
-                            .unwrap()
-                            .1;
-                        let (t0, t1) = (original.first().t, original.last().t);
-                        assert_eq!(
-                            bounded.time_slice(device, t0, t1),
-                            unbounded.time_slice(device, t0, t1),
-                            "{kind}: time slice diverged under eviction"
-                        );
-                        let centre = original.point(original.len() / 2);
-                        let w = BoundingBox {
-                            min_x: centre.x - 300.0,
-                            min_y: centre.y - 300.0,
-                            max_x: centre.x + 300.0,
-                            max_y: centre.y + 300.0,
-                        };
-                        assert_eq!(
-                            bounded.window_query(&w, None),
-                            unbounded.window_query(&w, None),
-                            "{kind}: window query diverged under eviction"
-                        );
-                        assert_eq!(
-                            bounded.position_at(device, (t0 + t1) / 2.0),
-                            unbounded.position_at(device, (t0 + t1) / 2.0),
-                            "{kind}: position diverged under eviction"
-                        );
-                    }
-                });
-            }
-        });
-        let cache = bounded.memory_stats().cache.expect("cache stats");
-        assert!(cache.evictions > 0, "{kind}: the tiny cap never evicted");
-        assert!(
-            cache.resident_bytes <= cap,
-            "{kind}: {} resident bytes over the {cap}-byte cap",
-            cache.resident_bytes
-        );
-    }
+    let bounded =
+        ShardedStore::open_with(&dir, 8, StoreConfig::default().with_cache_bytes(Some(cap)))
+            .expect("bounded open");
+    std::thread::scope(|scope| {
+        for reader in 0..READERS {
+            let (bounded, unbounded) = (&bounded, &unbounded);
+            scope.spawn(move || {
+                for round in 0..12 {
+                    let writer = (reader + round) % WRITERS;
+                    let device_in_writer = round % DEVICES_PER_WRITER;
+                    let device = (writer * DEVICES_PER_WRITER + device_in_writer) as DeviceId;
+                    let original = wave_fleet(writer, 0)
+                        .into_iter()
+                        .nth(device_in_writer)
+                        .unwrap()
+                        .1;
+                    let (t0, t1) = (original.first().t, original.last().t);
+                    assert_eq!(
+                        bounded.time_slice(device, t0, t1),
+                        unbounded.time_slice(device, t0, t1),
+                        "time slice diverged under eviction"
+                    );
+                    let centre = original.point(original.len() / 2);
+                    let w = BoundingBox {
+                        min_x: centre.x - 300.0,
+                        min_y: centre.y - 300.0,
+                        max_x: centre.x + 300.0,
+                        max_y: centre.y + 300.0,
+                    };
+                    assert_eq!(
+                        bounded.window_query(&w, None),
+                        unbounded.window_query(&w, None),
+                        "window query diverged under eviction"
+                    );
+                    assert_eq!(
+                        bounded.position_at(device, (t0 + t1) / 2.0),
+                        unbounded.position_at(device, (t0 + t1) / 2.0),
+                        "position diverged under eviction"
+                    );
+                }
+            });
+        }
+    });
+    let cache = bounded.memory_stats().cache.expect("cache stats");
+    assert!(cache.evictions > 0, "the tiny cap never evicted");
+    assert!(
+        cache.resident_bytes <= cap,
+        "{} resident bytes over the {cap}-byte cap",
+        cache.resident_bytes
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

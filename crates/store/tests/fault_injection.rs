@@ -570,7 +570,7 @@ fn sharded_open_recover_matches_flat_recovery() {
 #[test]
 fn recovery_under_a_tiny_cache_matches_unbounded_recovery() {
     for format in BlockFormat::ALL {
-        // Torn checkpoint log → open_recover_with under each policy.
+        // Torn checkpoint log → open_recover_with under a tiny cache.
         let dir = scratch(&format!("tiny-cache-{format}"));
         let store = build_store_fmt(format);
         store.save(&dir).unwrap();
@@ -580,23 +580,19 @@ fn recovery_under_a_tiny_cache_matches_unbounded_recovery() {
         fs::write(&log_path, &log[..cut]).unwrap();
 
         let (unbounded, report) = TrajStore::open_recover(&dir).unwrap();
-        for kind in traj_store::EvictionKind::ALL {
-            let config = StoreConfig::default()
-                .with_cache_bytes(Some(512))
-                .with_eviction(kind);
-            let (bounded, brep) = TrajStore::open_recover_with(&dir, config).unwrap();
-            assert_eq!(brep.blocks_recovered, report.blocks_recovered, "{kind}");
-            assert_eq!(bounded.stats(), unbounded.stats(), "{kind}");
-            for d in unbounded.devices().collect::<Vec<_>>() {
-                assert_eq!(
-                    bounded.time_slice(d, 0.0, 150.0),
-                    unbounded.time_slice(d, 0.0, 150.0),
-                    "{kind}: salvaged answers diverged under the tiny cache"
-                );
-            }
-            let cache = bounded.memory_stats().cache.expect("cache stats");
-            assert!(cache.resident_bytes <= 512, "{kind}: cap exceeded");
+        let config = StoreConfig::default().with_cache_bytes(Some(512));
+        let (bounded, brep) = TrajStore::open_recover_with(&dir, config).unwrap();
+        assert_eq!(brep.blocks_recovered, report.blocks_recovered);
+        assert_eq!(bounded.stats(), unbounded.stats());
+        for d in unbounded.devices().collect::<Vec<_>>() {
+            assert_eq!(
+                bounded.time_slice(d, 0.0, 150.0),
+                unbounded.time_slice(d, 0.0, 150.0),
+                "salvaged answers diverged under the tiny cache"
+            );
         }
+        let cache = bounded.memory_stats().cache.expect("cache stats");
+        assert!(cache.resident_bytes <= 512, "cap exceeded");
         fs::remove_dir_all(&dir).ok();
 
         // Torn WAL tail → open_durable with a bounded cache: the same

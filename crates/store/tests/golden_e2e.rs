@@ -281,29 +281,25 @@ fn golden_pipeline_store_query_results_match_fixture() {
         };
         assert_eq!(reopened.stats(), want, "{tag} reopen stats");
         // A tiny buffer pool (forcing heavy eviction) must not change a
-        // single bit of any query result, whatever the eviction policy.
-        for eviction in traj_store::EvictionKind::ALL {
-            let config = traj_store::StoreConfig::default()
-                .with_cache_bytes(Some(1024))
-                .with_eviction(eviction);
-            let bounded = TrajStore::open_with(&dir, config).unwrap();
-            assert_eq!(
-                query_rows(&fleet, &bounded),
-                queries,
-                "{tag} bounded-cache ({eviction}) reopen"
-            );
-            let cache = bounded.memory_stats().cache.expect("opened store pages");
-            assert!(
-                cache.evictions > 0,
-                "{tag}/{eviction}: a 1 KiB pool over {} stored bytes must evict",
-                want.stored_bytes
-            );
-            assert!(
-                cache.resident_bytes <= 1024,
-                "{tag}/{eviction}: pool over capacity ({} bytes)",
-                cache.resident_bytes
-            );
-        }
+        // single bit of any query result.
+        let config = traj_store::StoreConfig::default().with_cache_bytes(Some(1024));
+        let bounded = TrajStore::open_with(&dir, config).unwrap();
+        assert_eq!(
+            query_rows(&fleet, &bounded),
+            queries,
+            "{tag} bounded-cache reopen"
+        );
+        let cache = bounded.memory_stats().cache.expect("opened store pages");
+        assert!(
+            cache.evictions > 0,
+            "{tag}: a 1 KiB pool over {} stored bytes must evict",
+            want.stored_bytes
+        );
+        assert!(
+            cache.resident_bytes <= 1024,
+            "{tag}: pool over capacity ({} bytes)",
+            cache.resident_bytes
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,7 +5,7 @@
 //! The kNN lower bound and the geofence predicate both run on block
 //! *metadata*, which is computed before encoding — so every row here must
 //! be **byte-identical across block formats** (varint, FoR, mixed) and
-//! across all buffer-pool eviction policies.  Zero tolerance: a checksum
+//! under a buffer pool small enough to evict.  Zero tolerance: a checksum
 //! hashes exact `f64` bit patterns.
 //!
 //! To regenerate after an *intentional* change:
@@ -263,25 +263,16 @@ fn golden_knn_and_geofence_results_match_fixture() {
     );
     assert_eq!(knn_rows(&fleet, &mixed), knn, "mixed store kNN differs");
 
-    // The same invariance across a save/reopen and every eviction policy
-    // of a deliberately tiny buffer pool: pruning runs on resident
-    // metadata, decode order pages payloads in and out, and not a single
-    // bit of any answer may move.
+    // The same invariance across a save/reopen and a deliberately tiny
+    // buffer pool: pruning runs on resident metadata, decode order pages
+    // payloads in and out, and not a single bit of any answer may move.
     let dir = std::env::temp_dir().join(format!("traj-query-golden-{}", std::process::id()));
     varint.save(&dir).unwrap();
-    for eviction in traj_store::EvictionKind::ALL {
-        let config = StoreConfig::default()
-            .with_cache_bytes(Some(1024))
-            .with_eviction(eviction);
-        let bounded = TrajStore::open_with(&dir, config).unwrap();
-        assert_eq!(
-            knn_rows(&fleet, &bounded),
-            knn,
-            "bounded-cache ({eviction}) kNN differs"
-        );
-        let cache = bounded.memory_stats().cache.expect("opened store pages");
-        assert!(cache.evictions > 0, "{eviction}: a 1 KiB pool must evict");
-    }
+    let bounded =
+        TrajStore::open_with(&dir, StoreConfig::default().with_cache_bytes(Some(1024))).unwrap();
+    assert_eq!(knn_rows(&fleet, &bounded), knn, "bounded-cache kNN differs");
+    let cache = bounded.memory_stats().cache.expect("opened store pages");
+    assert!(cache.evictions > 0, "a 1 KiB pool must evict");
     std::fs::remove_dir_all(&dir).ok();
 
     // Geofence alert sets fire from sealed metadata during live ingest;

@@ -61,8 +61,8 @@ use trajsimp::pipeline::{
     compress_fleet, compress_fleet_sequential, DeviceId, FleetAlgorithm, PipelineConfig, Speedup,
 };
 use trajsimp::store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, DurabilityMode, EvictionKind,
-    ShardedStore, StoreConfig, TrajStore,
+    compress_fleet_into_shared_store, compress_fleet_into_store, DurabilityMode, ShardedStore,
+    StoreConfig, TrajStore,
 };
 
 const USAGE: &str = "usage: trajsimp <input.csv|input.plt> [--algorithm NAME] [--epsilon METERS] [--output FILE]\n\
@@ -74,15 +74,15 @@ const USAGE: &str = "usage: trajsimp <input.csv|input.plt> [--algorithm NAME] [-
        trajsimp query DIR --device N --from T --to T   (time slice)\n\
        trajsimp query DIR --window x0,y0,x1,y1 [--from T --to T]   (spatial window)\n\
        trajsimp query DIR --device N --at T   (interpolated position)\n\
-                      query also takes [--cache-bytes N] [--eviction lru|clock|sieve] [--profile]\n\
+                      query also takes [--cache-bytes N] [--profile]\n\
        trajsimp knn DIR --point x,y [--point x,y ...] [-k N] [--brute]\n\
-                      [--cache-bytes N] [--eviction lru|clock|sieve]   (k-nearest trajectories)\n\
+                      [--cache-bytes N]   (k-nearest trajectories)\n\
        trajsimp geofence --fence name=x0,y0,x1,y1 [--fence ...] [--waves N] [--shards N]\n\
                       [fleet flags]   (continuous geofence demo over live synthetic ingest)\n\
        trajsimp serve [DIR] [--addr HOST] [--port P] [--server-workers N] [--shards N] [--live WAVES]\n\
                       [--fence name=x0,y0,x1,y1]\n\
                       [--durable DIR] [--durability async|group-commit[:MS]]\n\
-                      [--cache-bytes N] [--eviction lru|clock|sieve] [--slow-query-ms MS]\n\
+                      [--cache-bytes N] [--slow-query-ms MS]\n\
                       [--no-shutdown-endpoint] [--trajectories N] [--points N] [--algorithm NAME]\n\
                       [--epsilon METERS] [--dataset NAME] [--seed N]   (HTTP query server; GET /shutdown stops it)\n\
        coordinates and times must be finite; the algorithm defaults to operb-a for a file, operb otherwise";
@@ -219,10 +219,6 @@ fn dataset(value: &str) -> Result<DatasetKind, String> {
         .ok_or_else(|| "want taxi, truck, sercar or geolife".to_string())
 }
 
-fn eviction(value: &str) -> Result<EvictionKind, String> {
-    EvictionKind::from_name(value).ok_or_else(|| "want lru, clock or sieve".to_string())
-}
-
 fn block_format(value: &str) -> Result<BlockFormat, String> {
     BlockFormat::from_name(value).ok_or_else(|| "want varint or for".to_string())
 }
@@ -241,11 +237,9 @@ fn durability(value: &str) -> Result<DurabilityMode, String> {
     }
 }
 
-/// The buffer-pool flags `query`, `knn` and `serve` share.
+/// The buffer-pool flag `query`, `knn` and `serve` share.
 fn store_config(flags: &mut Flags) -> Result<StoreConfig, String> {
-    Ok(StoreConfig::default()
-        .with_cache_bytes(flags.get(&["--cache-bytes"], parsed)?)
-        .with_eviction(flags.get(&["--eviction"], eviction)?.unwrap_or_default()))
+    Ok(StoreConfig::default().with_cache_bytes(flags.get(&["--cache-bytes"], parsed)?))
 }
 
 fn load(path: &str) -> Result<Trajectory, String> {
@@ -517,7 +511,6 @@ fn query(mut flags: Flags) -> Result<(), String> {
     let dir = flags.positional().ok_or("query needs a store directory")?;
     flags.finish()?;
 
-    let cached = config.cache_bytes.is_some();
     let store = open_flat(&dir, config)?;
     // Under --profile the query runs traced and the span tree (index walk,
     // pager fetches, block decodes) is printed as a stage breakdown.
@@ -585,18 +578,20 @@ fn query(mut flags: Flags) -> Result<(), String> {
         let trace = guard.finish("trajsimp query");
         eprintln!("profile:\n{}", trace.render_text());
     }
-    if cached {
-        if let Some(cache) = store.memory_stats().cache {
-            eprintln!(
-                "cache[{}]: {} hits, {} misses, {} evictions; hit ratio {:.1}%, {} resident bytes",
-                cache.policy,
-                cache.hits,
-                cache.misses,
-                cache.evictions,
-                cache.hit_ratio() * 100.0,
-                cache.resident_bytes
-            );
-        }
+    // Only a pool bounded by --cache-bytes is worth reporting.
+    if let Some(cache) = store
+        .memory_stats()
+        .cache
+        .filter(|c| c.capacity_bytes.is_some())
+    {
+        eprintln!(
+            "cache: {} hits, {} misses, {} evictions; hit ratio {:.1}%, {} resident bytes",
+            cache.hits,
+            cache.misses,
+            cache.evictions,
+            cache.hit_ratio() * 100.0,
+            cache.resident_bytes
+        );
     }
     Ok(())
 }

@@ -94,6 +94,10 @@ fn bad_arguments_exit_1_with_the_usage_text() {
         // query
         (&["query", store, "--device"], "needs a value"),
         (&["query", store, "--bogus", "1"], "unexpected argument"),
+        (
+            &["query", store, "--eviction", "lru"],
+            "unexpected argument",
+        ),
         (&["query", store, "--window", "nan,nan,nan,nan"], "finite"),
         (
             &[
@@ -206,10 +210,32 @@ fn store_query_knn_round_trip() {
     ]);
     assert!(stdout.contains("(24 devices,"), "{stdout}");
 
-    let slice = assert_success(&[
-        "query", store, "--device", "3", "--from", "0", "--to", "1e9",
-    ]);
-    assert!(slice.contains("decoded"), "{slice}");
+    // The slice reads through a bounded pool, which reports on stderr:
+    // one slice reads each decoded block once, so every fetch misses and
+    // a 1 MiB pool evicts nothing.
+    let args = [
+        "query",
+        store,
+        "--device",
+        "3",
+        "--from",
+        "0",
+        "--to",
+        "1e9",
+        "--cache-bytes",
+        "1048576",
+    ];
+    let out = trajsimp(&args);
+    assert!(out.status.success(), "trajsimp {args:?} failed");
+    let slice = String::from_utf8_lossy(&out.stdout);
+    let decoded = slice
+        .rsplit_once("decoded ")
+        .and_then(|(_, rest)| rest.split_once('/'))
+        .map(|(n, _)| n)
+        .expect("slice reports its decoded blocks");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = format!("cache: 0 hits, {decoded} misses, 0 evictions; hit ratio 0.0%, ");
+    assert!(stderr.contains(&want), "want {want:?} in:\n{stderr}");
     let window = assert_success(&["query", store, "--window", "-1e6,-1e6,1e6,1e6"]);
     assert!(window.contains("24 devices"), "{window}");
     let position = assert_success(&["query", store, "--device", "3", "--at", "600"]);

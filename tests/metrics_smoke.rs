@@ -64,8 +64,6 @@ fn metrics_and_trace_over_a_paged_store() {
             "2",
             "--cache-bytes",
             "65536",
-            "--eviction",
-            "lru",
             "--slow-query-ms",
             "0",
         ])
@@ -112,9 +110,6 @@ fn metrics_and_trace_over_a_paged_store() {
         "store_points",
         "store_blocks_decoded_total",
         "store_shard_blocks",
-        // pager — active, with the configured policy label
-        "pager_misses_total{eviction_policy=\"lru\"}",
-        "pager_resident_bytes{eviction_policy=\"lru\"}",
         // WAL — read-only store, series still present at zero
         "wal_appends_total",
         "wal_sync_duration_us_bucket",
@@ -143,13 +138,17 @@ fn metrics_and_trace_over_a_paged_store() {
         series.len()
     );
     // Decoding disk-backed blocks must have gone through the pager.
-    let pager_misses: f64 = body
-        .lines()
-        .find(|l| l.starts_with("pager_misses_total"))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-        .expect("pager_misses_total sample");
-    assert!(pager_misses >= 1.0, "no pager traffic recorded");
+    let sample = |name: &str| -> f64 {
+        body.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no unlabelled {name} sample in:\n{body}"))
+    };
+    assert!(sample("pager_misses_total") > 0.0, "no pager traffic");
+    let resident = sample("pager_resident_bytes");
+    assert!(
+        (1.0..=65536.0).contains(&resident),
+        "{resident} bytes resident"
+    );
 
     // ── /trace ───────────────────────────────────────────────────────────
     let (status, body) = get(addr, "/trace");
