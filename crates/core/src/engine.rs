@@ -292,10 +292,13 @@ impl SegmentEngine {
     ///
     /// This is the per-point hot path of the whole algorithm: all distance
     /// and classification arithmetic is done on squared lengths and the
-    /// cached fitted direction, so a typical point costs one square root and
-    /// no trigonometry (active points additionally pay one `asin` for the
-    /// fitting-function rotation, and the first active point of a segment
-    /// one `atan2`).
+    /// cached fitted direction, so an inactive point costs no square root
+    /// and no trigonometry.  An active point adds two square roots (its
+    /// `|R|` and the new `|R_a|`).  The rotation of case (3) adds one `asin`
+    /// for the step and one `sin_cos` for the new direction; optimization
+    /// 3's cap adds an `asin` and a `sin` only where two comparisons cannot
+    /// settle it.  The first active point of a segment pays one `atan2` and
+    /// one `sin_cos` instead.
     fn step(
         builder: &mut SegmentBuilder,
         point: &Point,
@@ -321,9 +324,7 @@ impl SegmentEngine {
                 zeta / 4.0
             };
             if r_sq > threshold * threshold {
-                builder
-                    .line
-                    .incorporate_active_with_r_len(point, r_sq.sqrt(), config);
+                builder.line.start_line(point, r_sq.sqrt());
                 builder.set_end(*point, idx);
             }
             builder.points_consumed += 1;
@@ -335,6 +336,10 @@ impl SegmentEngine {
             } else {
                 PointClass::Inactive
             };
+            // `d` and `sign` are `FittedLine::distance_to_line` and
+            // `FittedLine::sign_for` written out on the same operands
+            // (the anchor is `builder.start`), so an active point hands
+            // them on to the rotation bit for bit.
             let (cos, sin) = builder.line.direction();
             let d = (rx * sin - ry * cos).abs();
             // The fitting-function sign f: +1 iff (R.θ − L.θ) mod π ∈ [0, π/2],
@@ -367,9 +372,7 @@ impl SegmentEngine {
                     if !acceptable {
                         return false;
                     }
-                    builder
-                        .line
-                        .incorporate_active_with_r_len(point, r_sq.sqrt(), config);
+                    builder.line.rotate_towards(r_sq.sqrt(), d, sign, config);
                     builder.set_end(*point, idx);
                     builder.points_consumed += 1;
                     true

@@ -226,52 +226,54 @@ impl FittedLine {
     /// Returns the new zone index.
     pub fn incorporate_active(&mut self, p: &Point, config: &OperbConfig) -> u64 {
         let r_len = self.anchor.distance(p);
-        self.incorporate_active_with_r_len(p, r_len, config)
+        if self.is_zero() {
+            self.start_line(p, r_len)
+        } else {
+            let d = self.distance_to_line(p);
+            let sign = self.sign_for(p);
+            self.rotate_towards(r_len, d, sign, config)
+        }
     }
 
-    /// Hot-path variant of [`Self::incorporate_active`] for callers that
-    /// already know `|R| = |P_s → p|` (the streaming engine computes it
-    /// during classification and must not pay for a second square root —
-    /// Proposition 1's O(1) cost per point is mostly about keeping this
-    /// constant small).
-    pub fn incorporate_active_with_r_len(
-        &mut self,
-        p: &Point,
-        r_len: f64,
-        config: &OperbConfig,
-    ) -> u64 {
+    /// Case (2) of [`Self::incorporate_active`]: the first active point
+    /// `p`, at `r_len = |P_s → p|`, fixes the angle.  The streaming engine
+    /// calls it directly because it already knows `r_len` from
+    /// classification and must not pay for a second square root.  Its
+    /// `atan2` and `sin_cos` run once per output segment.
+    pub fn start_line(&mut self, p: &Point, r_len: f64) -> u64 {
+        debug_assert!(self.is_zero());
+        let j = zone_index(r_len, self.zeta).max(1);
+        let r_theta = self.anchor.angle_to(p);
+        self.length = j as f64 * self.zeta / 2.0;
+        self.theta = r_theta;
+        let (sin, cos) = r_theta.sin_cos();
+        self.sin_theta = sin;
+        self.cos_theta = cos;
+        self.last_zone = j;
+        j
+    }
+
+    /// Case (3) of [`Self::incorporate_active`]: rotates the fitted line
+    /// towards an active point at `r_len = |P_s → p|`, distance `d` =
+    /// [`Self::distance_to_line`] and side `sign` = [`Self::sign_for`].  The
+    /// streaming engine computes all three while classifying the point
+    /// (from the same expressions), so this hot path recomputes none.
+    ///
+    /// Its trigonometry is one `asin` for the step and one `sin_cos` for
+    /// the new direction; optimization 3's cap adds an `asin` and a `sin`
+    /// only when two comparisons cannot settle it.
+    pub fn rotate_towards(&mut self, r_len: f64, d: f64, sign: f64, config: &OperbConfig) -> u64 {
+        debug_assert!(!self.is_zero());
         let j = zone_index(r_len, self.zeta).max(1);
         let radius = j as f64 * self.zeta / 2.0;
 
-        if self.is_zero() {
-            // Case (2): the first active point fixes the angle.  The only
-            // trigonometry on this path runs once per output segment.
-            let r_theta = self.anchor.angle_to(p);
-            self.length = radius;
-            self.theta = r_theta;
-            let (sin, cos) = r_theta.sin_cos();
-            self.sin_theta = sin;
-            self.cos_theta = cos;
-            self.last_zone = j;
-            return j;
-        }
-
-        // Case (3): rotate the fitted line towards the new point.
-        let d = self.distance_to_line(p);
-        let sign = self.sign_for(p);
-
-        // Optimization 3: rotate using dx ∈ [d, d_side_max], capped so the
-        // step never exceeds arcsin(d / radius).
         let dx = if config.opt_pull_towards_active {
-            let base = (d / radius).clamp(0.0, 1.0).asin();
-            let cap_angle = (j as f64 * base).min(std::f64::consts::FRAC_PI_2);
-            let dx_cap = radius * cap_angle.sin();
             let side_max = if sign >= 0.0 {
                 self.d_plus_max
             } else {
                 self.d_minus_max
             };
-            side_max.min(dx_cap).max(d)
+            opt3_dx(d, side_max, j, radius)
         } else {
             d
         };
@@ -295,10 +297,56 @@ impl FittedLine {
     }
 }
 
+/// Relative shrink of optimization 3's comparison bound in [`opt3_dx`]:
+/// a million times the few-ulp (~1e-15) error of the `asin`/`sin` path it
+/// stands in for.
+const OPT3_BOUND_SHRINK: f64 = 1.0 - 1e-9;
+
+/// Optimization 3: the distance the rotation pulls towards, `dx ∈ [d,
+/// side_max]`, capped at `dx_cap = radius·sin(min(j·asin(d/radius), π/2))`
+/// so the step `asin(dx/radius)/j` never exceeds `asin(d/radius)`
+/// (optimization 4 then multiplies it by `Δj`, after the cap).  That is
+/// `side_max.min(dx_cap).max(d)`, bit for bit, but two comparisons settle
+/// most calls without computing `dx_cap`:
+///
+/// * `side_max ≤ d`: then `dx = d`, whatever the cap.
+/// * `asin x ≥ x`, and `sin θ ≥ 2θ/π` on `[0, π/2]`, so
+///   `dx_cap ≥ min(2jd/π, radius)` (with `d ≥ radius` the angle clamps to
+///   `π/2` and `dx_cap = radius`).  Below that bound the cap cannot bind,
+///   so `dx = side_max`.  The bound is shrunk by [`OPT3_BOUND_SHRINK`]:
+///   the computed `dx_cap` and the computed bound each sit within a few
+///   ulps of their exact values, and the exact `dx_cap` is at least the
+///   exact bound, so any `side_max` below the shrunk bound is also below
+///   the `dx_cap` the trigonometry would have returned.
+///
+/// Only calls with `side_max` at or above the shrunk bound pay an `asin`
+/// and a `sin`.
+#[inline]
+fn opt3_dx(d: f64, side_max: f64, j: u64, radius: f64) -> f64 {
+    if side_max <= d {
+        return d;
+    }
+    if side_max < opt3_bound(d, j, radius) {
+        return side_max;
+    }
+    let base = (d / radius).clamp(0.0, 1.0).asin();
+    let cap_angle = (j as f64 * base).min(std::f64::consts::FRAC_PI_2);
+    let dx_cap = radius * cap_angle.sin();
+    side_max.min(dx_cap).max(d)
+}
+
+/// The shrunk lower bound `min(2jd/π, radius)·(1 − 1e-9)` on optimization
+/// 3's `dx_cap`; see [`opt3_dx`].
+#[inline]
+fn opt3_bound(d: f64, j: u64, radius: f64) -> f64 {
+    (std::f64::consts::FRAC_2_PI * j as f64 * d).min(radius) * OPT3_BOUND_SHRINK
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::FRAC_PI_2;
+    use traj_data::rng::{Rng, SmallRng};
 
     const ZETA: f64 = 4.0;
 
@@ -505,5 +553,127 @@ mod tests {
         let line = FittedLine::new(anchor, ZETA);
         assert_eq!(line.classify(&anchor, &raw()), PointClass::Inactive);
         assert_eq!(line.distance_to_line(&anchor), 0.0);
+    }
+
+    /// The reference for [`opt3_dx`]: optimization 3's cap
+    /// `radius·sin(min(j·asin(d/radius), π/2))`, always through the
+    /// trigonometry.
+    fn trig_dx_cap(d: f64, j: u64, radius: f64) -> f64 {
+        let base = (d / radius).clamp(0.0, 1.0).asin();
+        let cap_angle = (j as f64 * base).min(FRAC_PI_2);
+        radius * cap_angle.sin()
+    }
+
+    /// The reference `dx`: `side_max.min(dx_cap).max(d)` on every call.
+    fn trig_opt3_dx(d: f64, side_max: f64, j: u64, radius: f64) -> f64 {
+        side_max.min(trig_dx_cap(d, j, radius)).max(d)
+    }
+
+    /// Which of [`opt3_dx`]'s three branches a call takes: `side_max ≤ d`,
+    /// below the bound, or through the trigonometry.
+    fn opt3_branch(d: f64, side_max: f64, j: u64, radius: f64) -> usize {
+        if side_max <= d {
+            0
+        } else if side_max < opt3_bound(d, j, radius) {
+            1
+        } else {
+            2
+        }
+    }
+
+    fn assert_same_dx(d: f64, side_max: f64, j: u64, radius: f64) {
+        let fast = opt3_dx(d, side_max, j, radius);
+        let trig = trig_opt3_dx(d, side_max, j, radius);
+        assert_eq!(
+            fast.to_bits(),
+            trig.to_bits(),
+            "d = {d:e}, side_max = {side_max:e}, j = {j}, radius = {radius:e}: {fast:e} vs {trig:e}"
+        );
+    }
+
+    #[test]
+    fn opt3_dx_matches_the_trigonometric_formula_on_a_seeded_sweep() {
+        let mut rng = SmallRng::seed_from_u64(0x0907_3d71);
+        let mut branches = [0usize; 3];
+        for case in 0..240_000u32 {
+            let zeta = rng.gen_range(0.5..200.0);
+            let j = if rng.gen_bool(0.9) {
+                rng.gen_range(1u64..64)
+            } else {
+                rng.gen_range(64u64..100_000)
+            };
+            let radius = j as f64 * zeta / 2.0;
+            // d mostly within the accepted ζ, sometimes tiny, and sometimes
+            // around and beyond the radius, where asin's argument clamps.
+            let d = match case % 4 {
+                0 => rng.gen_range(0.0..zeta),
+                1 => zeta * 10f64.powf(rng.gen_range(-12.0..0.0)),
+                2 => rng.gen_range(0.0..1.5 * radius),
+                _ => radius * rng.gen_range(0.9..1.1),
+            };
+            let cap = trig_dx_cap(d, j, radius);
+            let bound = opt3_bound(d, j, radius);
+            let side_max = match rng.gen_range(0u32..5) {
+                0 => rng.gen_range(0.0..2.0 * zeta),
+                1 => d * rng.gen_range(0.0..=1.0),
+                2 => bound * (1.0 + rng.gen_range(-1e-6..1e-6)),
+                3 => cap * (1.0 + rng.gen_range(-1e-12..1e-12)),
+                _ => rng.gen_range(bound..=cap.max(bound)),
+            };
+            branches[opt3_branch(d, side_max, j, radius)] += 1;
+            assert_same_dx(d, side_max, j, radius);
+        }
+        // Every branch, the trigonometric one included, saw real traffic.
+        assert!(
+            branches.iter().all(|&n| n >= 20_000),
+            "branches {branches:?}"
+        );
+    }
+
+    #[test]
+    fn opt3_dx_matches_the_trigonometric_formula_on_its_edges() {
+        let mut branches = [0usize; 3];
+        for zeta in [0.5, 4.0, 30.0, 200.0] {
+            for j in [1u64, 2, 3, 7, 64, 4_000, 100_000] {
+                let radius = j as f64 * zeta / 2.0;
+                // Where j·asin(d/r) reaches π/2 and the cap angle clamps.
+                let quarter_turn = radius * (FRAC_PI_2 / j as f64).sin();
+                let ds = [
+                    0.0,
+                    f64::MIN_POSITIVE,
+                    zeta / 2.0,
+                    zeta,
+                    quarter_turn.next_down(),
+                    quarter_turn,
+                    quarter_turn.next_up(),
+                    radius,
+                    radius.next_up(),
+                    1.5 * radius,
+                ];
+                for d in ds {
+                    let bound = opt3_bound(d, j, radius);
+                    let cap = trig_dx_cap(d, j, radius);
+                    let side_maxes = [
+                        0.0,
+                        d.next_down().max(0.0),
+                        d,
+                        d.next_up(),
+                        bound.next_down(),
+                        bound,
+                        bound.next_up(),
+                        cap.next_down(),
+                        cap,
+                        cap.next_up(),
+                        radius,
+                        2.0 * radius,
+                    ];
+                    for side_max in side_maxes {
+                        branches[opt3_branch(d, side_max, j, radius)] += 1;
+                        assert_same_dx(d, side_max, j, radius);
+                    }
+                }
+            }
+        }
+        assert!(branches.iter().all(|&n| n > 0), "branches {branches:?}");
     }
 }

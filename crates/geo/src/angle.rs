@@ -10,7 +10,13 @@ use std::f64::consts::PI;
 /// x axis of the planar coordinate system.
 #[inline]
 pub fn normalize_angle(theta: f64) -> f64 {
-    let mut a = theta % TAU;
+    // An angle inside (−2π, 2π) is its own remainder, so only larger ones
+    // pay for `fmod`; ±∞ and NaN still take `%` and come out NaN.
+    let mut a = if theta.abs() < TAU {
+        theta
+    } else {
+        theta % TAU
+    };
     if a < 0.0 {
         a += TAU;
     }
@@ -93,8 +99,58 @@ pub fn patch_angle_admissible(delta: f64, gamma_m: f64) -> bool {
 mod tests {
     use super::*;
     use std::f64::consts::FRAC_PI_2;
+    use traj_data::rng::{Rng, SmallRng};
 
     const EPS: f64 = 1e-12;
+
+    /// The reference for [`normalize_angle`]: `fmod` on every input, then
+    /// the same two fix-ups.
+    fn fmod_normalize_angle(theta: f64) -> f64 {
+        let mut a = theta % TAU;
+        if a < 0.0 {
+            a += TAU;
+        }
+        if a >= TAU {
+            a -= TAU;
+        }
+        a
+    }
+
+    #[test]
+    fn normalize_matches_the_fmod_path_bit_for_bit() {
+        let edges = [
+            0.0,
+            -0.0,
+            -1e-18,
+            1e-18,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            PI,
+            -PI,
+            TAU,
+            -TAU,
+            TAU.next_down(),
+            TAU.next_up(),
+            -TAU.next_down(),
+            -TAU.next_up(),
+            3.0 * TAU,
+            -3.0 * TAU,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x07a0_2f1e);
+        let seeded = (0..200_000).map(|_| rng.gen_range(-3.0 * TAU..3.0 * TAU));
+        for theta in edges.into_iter().chain(seeded) {
+            let (fast, fmod) = (normalize_angle(theta), fmod_normalize_angle(theta));
+            assert_eq!(
+                fast.to_bits(),
+                fmod.to_bits(),
+                "θ = {theta:e}: {fast:e} vs {fmod:e}"
+            );
+        }
+    }
 
     #[test]
     fn normalize_into_range() {

@@ -31,9 +31,10 @@ cargo test --release -q -p traj-store --test query_golden
 cargo test --release -q -p traj-store --test window_coverage
 cargo test --release -q -p traj-service --test query_endpoints
 
-echo "==> allocation budgets per request kind and exact counts (release; the workspace tests run them in debug)"
+echo "==> allocation budgets per request kind, exact counts and the fitting-function properties (release; the workspace tests run them in debug)"
 cargo test --release -q --test alloc_budget
 cargo test --release -q --test exact_counts
+cargo test --release -q -p operb --test properties
 
 echo "==> crash-recovery gate: WAL crash-point sweep + SIGKILL'd live server (release)"
 cargo test --release -q -p traj-store --test crash_sweep

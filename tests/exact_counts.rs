@@ -1,5 +1,7 @@
-//! Exact counts of the block codec, the store, its buffer pool and the
-//! query engine on seeded Taxi fleets (seed 20170401, OPERB at ζ = 30 m).
+//! Exact counts of the OPERB family's compression on seeded fleets of all
+//! four profiles, and of the block codec, the store, its buffer pool and
+//! the query engine on seeded Taxi fleets (seed 20170401, OPERB at
+//! ζ = 30 m).
 //!
 //! None of these figures depends on the machine or on timing: each is a
 //! deterministic function of the seed and the sizes below, so each is
@@ -10,8 +12,10 @@
 use trajsimp::data::{DatasetGenerator, DatasetKind};
 use trajsimp::geo::{BoundingBox, Point};
 use trajsimp::model::codec::{BlockFormat, SegmentCodec};
-use trajsimp::model::{SimplifiedTrajectory, Trajectory};
-use trajsimp::pipeline::{compress_fleet, DeviceId, FleetAlgorithm, PipelineConfig};
+use trajsimp::model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
+use trajsimp::pipeline::{
+    compress_fleet, compress_fleet_sequential, DeviceId, FleetAlgorithm, PipelineConfig,
+};
 use trajsimp::store::{
     compress_fleet_into_shared_store, compress_fleet_into_store, KnnStats, ShardedStore,
     StoreConfig, TrajStore,
@@ -272,4 +276,105 @@ fn knn_pruning_and_geofence_alerts() {
     let stats = shared.geofences().stats();
     assert_eq!(stats.alerts_fired, 317);
     assert_eq!((stats.blocks_skipped, stats.blocks_checked), (3_263, 3_580));
+}
+
+/// FNV-1a over the exact bits of every output segment: both endpoints'
+/// x/y/t, the first and last original index and the two interpolation
+/// flags.
+struct OutputHash(u64);
+
+impl OutputHash {
+    fn new() -> Self {
+        OutputHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn segments(&mut self, segments: &[SimplifiedSegment]) {
+        for s in segments {
+            let (a, b) = (s.segment.start, s.segment.end);
+            for v in [a.x, a.y, a.t, b.x, b.y, b.t] {
+                self.word(v.to_bits());
+            }
+            self.word(s.first_index as u64);
+            self.word(s.last_index as u64);
+            self.word(u64::from(s.interpolated_start) | u64::from(s.interpolated_end) << 1);
+        }
+    }
+}
+
+#[test]
+fn operb_family_segment_counts_and_output_hashes() {
+    // 40 devices × 500 points per profile, each fleet compressed at three
+    // error bounds.  The counts pin the compression ratio of every cell;
+    // the hash, one per algorithm over all twelve cells in order, pins
+    // every output bit, so an arithmetic rewrite of the fitting function
+    // that is meant to change nothing can show that it changed nothing.
+    const ZETAS: [f64; 3] = [10.0, 30.0, 100.0];
+    let fleets: Vec<Vec<(DeviceId, Trajectory)>> = DatasetKind::ALL
+        .iter()
+        .map(|&kind| {
+            let generator = DatasetGenerator::for_kind(kind, SEED);
+            (0..40)
+                .map(|i| (i as DeviceId, generator.generate_trajectory(i, 500)))
+                .collect()
+        })
+        .collect();
+    let mut seen = Vec::new();
+    for name in ["operb", "operb-a", "raw-operb"] {
+        let algorithm = FleetAlgorithm::by_name(name).expect("registered");
+        let mut counts = [[0usize; 3]; 4];
+        let mut hash = OutputHash::new();
+        for (fleet, row) in fleets.iter().zip(&mut counts) {
+            for (&zeta, cell) in ZETAS.iter().zip(row.iter_mut()) {
+                for result in compress_fleet_sequential(fleet, zeta, &algorithm).results {
+                    let output = result.output.expect("compresses every stream");
+                    *cell += output.segments().len();
+                    hash.segments(output.segments());
+                }
+            }
+        }
+        seen.push((name, counts, format!("{:016x}", hash.0)));
+    }
+    // Rows: Taxi, Truck, SerCar, GeoLife; columns: ζ = 10, 30, 100 m.
+    assert_eq!(
+        seen,
+        [
+            (
+                "operb",
+                [
+                    [12_697, 8_258, 7_214],
+                    [7_095, 1_259, 1_020],
+                    [6_804, 760, 508],
+                    [3_584, 498, 352]
+                ],
+                "17bd9d18e8938a9d".to_string()
+            ),
+            (
+                "operb-a",
+                [
+                    [11_102, 7_057, 6_489],
+                    [6_662, 875, 709],
+                    [6_593, 745, 508],
+                    [3_571, 498, 352]
+                ],
+                "e3463731be2bf1f4".to_string()
+            ),
+            (
+                "raw-operb",
+                [
+                    [16_075, 10_963, 8_022],
+                    [13_948, 5_483, 1_936],
+                    [13_382, 4_551, 661],
+                    [10_752, 1_810, 497]
+                ],
+                "c68b6b455bc44db2".to_string()
+            ),
+        ]
+    );
 }
