@@ -260,10 +260,41 @@ fn write_newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Magnitudes below which [`write_number`] tries its exact-decimal fast
+/// path: under 2³³ the spacing of doubles is at most 2⁻²⁰, far finer than
+/// the 0.001 between the decimals that path writes.
+const EXACT_DECIMAL_LIMIT: f64 = (1u64 << 33) as f64;
+
 /// Appends a number the way `serde_json` writes it: integers without a
 /// decimal point, everything else through the shortest round-trippable
 /// `f64` form; NaN and the infinities become `null`.  Allocation-free, so
 /// callers that stream JSON straight into a buffer use it directly.
+///
+/// The store's numbers take a fast path that skips std's general
+/// shortest-digits search.  Dequantized coordinates are `q·0.01` and
+/// timestamps `q·0.001`, so most of them are the double nearest a decimal
+/// with at most three fraction digits.  For a finite `v` with
+/// `0 < |v| < 2³³`, `k = round(|v|·1000)` is tried, and accepted only
+/// when `k as f64 / 1000.0 == |v|`; the digits of `k / 1000` are then
+/// written with trailing zeros trimmed.  That string is exactly what std
+/// would print:
+///
+/// * the division is correctly rounded and `k < 2⁵³` is exact, so
+///   equality means the decimal `k / 1000` parses back to `v`;
+/// * any other decimal with no more significant digits lies at least
+///   0.001 from `k / 1000` when its leading digit is in the same place
+///   or higher, and at least 0.0001 when it sits below the power of ten
+///   that `k / 1000` reaches; two decimals that both parse to `v` lie
+///   within one ulp of each other, and one ulp is at most 2⁻²⁰ here;
+/// * so the string is the unique shortest round-tripping one, which is
+///   what std's `Display` prints (it never uses an exponent).  `k / 1000`
+///   is never a tie between two doubles: a decimal of that form with a
+///   finite binary expansion is a multiple of 1/8, itself a double.
+///
+/// Every other value, `±0.0` among them, takes the general path below
+/// unchanged.  The rounding uses an add-and-truncate cast rather than
+/// `f64::round`, which is a library call on baseline x86-64; a `k` it
+/// gets wrong is only a missed fast path, never a wrong digit.
 pub fn write_number(out: &mut String, v: f64) {
     use std::fmt::Write as _;
     if !v.is_finite() {
@@ -271,16 +302,95 @@ pub fn write_number(out: &mut String, v: f64) {
         out.push_str("null");
         return;
     }
-    // Negative zero must not take the integer fast path: `-0.0 as i64`
-    // is `0`, which would silently drop the sign on a round-trip.
-    if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 && (v != 0.0 || v.is_sign_positive()) {
-        let _ = write!(out, "{}", v as i64);
+    let magnitude = v.abs();
+    if magnitude > 0.0 && magnitude < EXACT_DECIMAL_LIMIT {
+        let millis = (magnitude * 1000.0 + 0.5) as u64;
+        if millis as f64 / 1000.0 == magnitude {
+            write_millis(out, v < 0.0, millis);
+            return;
+        }
+    }
+    // Negative zero must not take the integer path: `-0.0 as u64` is
+    // `0`, which would silently drop the sign on a round-trip.
+    if v.fract() == 0.0 && magnitude < (1u64 << 53) as f64 && (v != 0.0 || v.is_sign_positive()) {
+        if v < 0.0 {
+            out.push('-');
+        }
+        write_u64(out, magnitude as u64);
     } else {
         let start = out.len();
         let _ = write!(out, "{v}");
         if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
+    }
+}
+
+/// Appends an unsigned integer exactly.  Ids, indices and counts go
+/// through here rather than [`write_number`], since `f64` rounds them
+/// above 2⁵³.
+pub fn write_u64(out: &mut String, v: u64) {
+    let mut digits = Digits::new();
+    digits.push_u64(v);
+    out.push_str(digits.as_str());
+}
+
+/// Appends `millis / 1000` with at most three fraction digits, trailing
+/// zeros trimmed and no decimal point when it is integral.
+fn write_millis(out: &mut String, negative: bool, millis: u64) {
+    let mut digits = Digits::new();
+    let mut fraction = millis % 1000;
+    if fraction != 0 {
+        let mut width = 3;
+        while fraction.is_multiple_of(10) {
+            fraction /= 10;
+            width -= 1;
+        }
+        for _ in 0..width {
+            digits.push((fraction % 10) as u8 + b'0');
+            fraction /= 10;
+        }
+        digits.push(b'.');
+    }
+    digits.push_u64(millis / 1000);
+    if negative {
+        digits.push(b'-');
+    }
+    out.push_str(digits.as_str());
+}
+
+/// A number's characters written right to left into a stack buffer, so
+/// writing it costs one `push_str` and no allocation of its own.
+struct Digits {
+    buf: [u8; 24],
+    start: usize,
+}
+
+impl Digits {
+    fn new() -> Self {
+        Digits {
+            buf: [0; 24],
+            start: 24,
+        }
+    }
+
+    fn push(&mut self, byte: u8) {
+        self.start -= 1;
+        self.buf[self.start] = byte;
+    }
+
+    fn push_u64(&mut self, mut v: u64) {
+        loop {
+            self.push((v % 10) as u8 + b'0');
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[self.start..]).expect("digits are ASCII")
     }
 }
 

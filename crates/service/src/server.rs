@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use traj_geo::{BoundingBox, Point};
-use traj_model::json::{write_number, JsonValue};
+use traj_model::json::{write_number, write_u64, JsonValue};
 use traj_model::SimplifiedSegment;
 use traj_obs::{Gauge, Histogram, Registry, SpanRecord, Trace};
 use traj_store::{GeofenceAlert, GeofenceRegistry, QueryStats, ShardedStore};
@@ -523,7 +523,7 @@ fn close_with_latency(body: &mut String, latency_us: u64) {
         body.push(',');
     }
     body.push_str("\"latency_us\":");
-    write_number(body, latency_us as f64);
+    write_u64(body, latency_us);
     body.push('}');
 }
 
@@ -715,14 +715,32 @@ fn optional_time_range(request: &Request) -> Result<Option<(f64, f64)>, Rejectio
     }
 }
 
+/// A streamed member's value: a measured number, or an exact integer
+/// (an id, index or count) that never passes through `f64`, which would
+/// round it above 2⁵³.
+#[derive(Clone, Copy)]
+enum Num {
+    Float(f64),
+    Int(u64),
+}
+
+impl From<usize> for Num {
+    fn from(v: usize) -> Self {
+        Num::Int(v as u64)
+    }
+}
+
 /// Appends `{"k1":v1,…` — an object of numbers, left open for more
 /// members.  Keys are static identifiers and need no escaping.
-fn write_number_members(out: &mut String, members: &[(&str, f64)]) {
+fn write_number_members(out: &mut String, members: &[(&str, Num)]) {
     for (i, (key, value)) in members.iter().enumerate() {
         out.push_str(if i == 0 { "{\"" } else { ",\"" });
         out.push_str(key);
         out.push_str("\":");
-        write_number(out, *value);
+        match *value {
+            Num::Float(v) => write_number(out, v),
+            Num::Int(v) => write_u64(out, v),
+        }
     }
 }
 
@@ -750,14 +768,14 @@ fn write_segment(out: &mut String, s: &SimplifiedSegment) {
     write_number_members(
         out,
         &[
-            ("x0", s.segment.start.x),
-            ("y0", s.segment.start.y),
-            ("t0", s.segment.start.t),
-            ("x1", s.segment.end.x),
-            ("y1", s.segment.end.y),
-            ("t1", s.segment.end.t),
-            ("first_index", s.first_index as f64),
-            ("last_index", s.last_index as f64),
+            ("x0", Num::Float(s.segment.start.x)),
+            ("y0", Num::Float(s.segment.start.y)),
+            ("t0", Num::Float(s.segment.start.t)),
+            ("x1", Num::Float(s.segment.end.x)),
+            ("y1", Num::Float(s.segment.end.y)),
+            ("t1", Num::Float(s.segment.end.t)),
+            ("first_index", s.first_index.into()),
+            ("last_index", s.last_index.into()),
         ],
     );
     out.push('}');
@@ -768,10 +786,10 @@ fn write_query_stats(out: &mut String, stats: &QueryStats) {
     write_number_members(
         out,
         &[
-            ("blocks_in_scope", stats.blocks_in_scope as f64),
-            ("blocks_decoded", stats.blocks_decoded as f64),
-            ("segments_returned", stats.segments_returned as f64),
-            ("skip_ratio", stats.skip_ratio()),
+            ("blocks_in_scope", stats.blocks_in_scope.into()),
+            ("blocks_decoded", stats.blocks_decoded.into()),
+            ("segments_returned", stats.segments_returned.into()),
+            ("skip_ratio", Num::Float(stats.skip_ratio())),
         ],
     );
     out.push('}');
@@ -831,7 +849,11 @@ fn handle_time_slice(
     let mut out = response_buffer(slice.segments.len());
     write_number_members(
         &mut out,
-        &[("device", device as f64), ("from", from), ("to", to)],
+        &[
+            ("device", Num::Int(device)),
+            ("from", Num::Float(from)),
+            ("to", Num::Float(to)),
+        ],
     );
     write_key(&mut out, "segments");
     write_array(&mut out, &slice.segments, write_segment);
@@ -861,7 +883,7 @@ fn handle_window(
     let mut out = response_buffer(q.stats.segments_returned);
     out.push_str("{\"matches\":");
     write_array(&mut out, &q.matches, |out, m| {
-        write_number_members(out, &[("device", m.device as f64)]);
+        write_number_members(out, &[("device", Num::Int(m.device))]);
         write_key(out, "segments");
         write_array(out, &m.segments, write_segment);
         out.push('}');
@@ -875,11 +897,21 @@ fn handle_position_at(store: &ShardedStore, request: &Request) -> Result<String,
     let device = require_device(request)?;
     let t = require_f64(request, "t")?;
     let mut out = response_buffer(0);
-    write_number_members(&mut out, &[("device", device as f64), ("t", t)]);
+    write_number_members(
+        &mut out,
+        &[("device", Num::Int(device)), ("t", Num::Float(t))],
+    );
     write_key(&mut out, "position");
     match store.position_at(device, t) {
         Some(p) => {
-            write_number_members(&mut out, &[("x", p.x), ("y", p.y), ("t", p.t)]);
+            write_number_members(
+                &mut out,
+                &[
+                    ("x", Num::Float(p.x)),
+                    ("y", Num::Float(p.y)),
+                    ("t", Num::Float(p.t)),
+                ],
+            );
             out.push('}');
         }
         None => out.push_str("null"),
@@ -947,13 +979,16 @@ fn handle_knn(store: &ShardedStore, request: &Request) -> Result<String, Rejecti
     let mut out = response_buffer(0);
     write_number_members(
         &mut out,
-        &[("k", k as f64), ("query_points", query.len() as f64)],
+        &[("k", k.into()), ("query_points", query.len().into())],
     );
     write_key(&mut out, "neighbors");
     write_array(&mut out, &result.neighbors, |out, n| {
         write_number_members(
             out,
-            &[("device", n.device as f64), ("distance", n.distance)],
+            &[
+                ("device", Num::Int(n.device)),
+                ("distance", Num::Float(n.distance)),
+            ],
         );
         out.push('}');
     });
@@ -961,12 +996,12 @@ fn handle_knn(store: &ShardedStore, request: &Request) -> Result<String, Rejecti
     write_number_members(
         &mut out,
         &[
-            ("devices_total", stats.devices_total as f64),
-            ("devices_pruned", stats.devices_pruned as f64),
-            ("blocks_total", stats.blocks_total as f64),
-            ("blocks_decoded", stats.blocks_decoded as f64),
-            ("device_prune_ratio", stats.device_prune_ratio()),
-            ("block_prune_ratio", stats.block_prune_ratio()),
+            ("devices_total", stats.devices_total.into()),
+            ("devices_pruned", stats.devices_pruned.into()),
+            ("blocks_total", stats.blocks_total.into()),
+            ("blocks_decoded", stats.blocks_decoded.into()),
+            ("device_prune_ratio", Num::Float(stats.device_prune_ratio())),
+            ("block_prune_ratio", Num::Float(stats.block_prune_ratio())),
         ],
     );
     out.push('}');

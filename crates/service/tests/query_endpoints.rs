@@ -1,7 +1,7 @@
 //! End-to-end tests of the query-engine endpoints over real TCP: `/knn`
 //! ranking and pruning stats, `/geofence_add` + `/geofences` + live
-//! `/subscribe` polling while ingest runs, and the geofence sections of
-//! `/stats` and `/metrics`.
+//! `/subscribe` polling while ingest runs, the geofence sections of
+//! `/stats` and `/metrics`, and device ids beyond `f64`'s exact integers.
 
 use std::sync::Arc;
 
@@ -129,6 +129,28 @@ fn knn_endpoint_ranks_devices_and_reports_pruning() {
     let (_, json) = get_json(&server, &too_many);
     let error = json.get("error").and_then(JsonValue::as_str).unwrap();
     assert!(error.contains("64"), "the limit is named: {error}");
+    server.stop();
+}
+
+/// Device ids are `u64`: the streamed endpoints write them exactly, not
+/// through `f64`, which would round 2⁵³ + 1 down to 2⁵³.
+#[test]
+fn streamed_endpoints_write_device_ids_above_2_pow_53_exactly() {
+    let device = (1u64 << 53) + 1;
+    let store = Arc::new(ShardedStore::with_default_config(4));
+    store.ingest(device, &line(0.0, 0.0, 8), 5.0).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let want = "\"device\":9007199254740993";
+    for path in [
+        format!("/time_slice?device={device}&from=0&to=80"),
+        format!("/position_at?device={device}&t=25"),
+        "/window?min_x=0&min_y=-10&max_x=300&max_y=10".to_string(),
+        "/knn?x=250&y=0&k=1".to_string(),
+    ] {
+        let (status, body) = client::http_get(server.local_addr(), &path).unwrap();
+        assert_eq!(status, 200, "{path}: {body}");
+        assert!(body.contains(want), "{path}: {body}");
+    }
     server.stop();
 }
 

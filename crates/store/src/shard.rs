@@ -550,6 +550,7 @@ impl ShardedStore {
         let mut merged = WindowQuery {
             matches: Vec::new(),
             stats: QueryStats::default(),
+            segments_decoded: 0,
         };
         for shard in &self.shards {
             let q = shard
@@ -559,6 +560,7 @@ impl ShardedStore {
             merged.stats.blocks_in_scope += q.stats.blocks_in_scope;
             merged.stats.blocks_decoded += q.stats.blocks_decoded;
             merged.stats.segments_returned += q.stats.segments_returned;
+            merged.segments_decoded += q.segments_decoded;
             merged.stats.index_candidates += q.stats.index_candidates;
             merged.matches.extend(q.matches);
         }

@@ -180,6 +180,9 @@ pub struct TimeSlice {
     pub segments: Vec<SimplifiedSegment>,
     /// Decode accounting (scope: the device's log).
     pub stats: QueryStats,
+    /// Segments the decoded blocks held; see
+    /// [`WindowQuery::segments_decoded`].
+    pub segments_decoded: usize,
 }
 
 /// One device's contribution to a spatial window query.
@@ -199,6 +202,12 @@ pub struct WindowQuery {
     pub matches: Vec<DeviceMatch>,
     /// Decode accounting (scope: every block in the store).
     pub stats: QueryStats,
+    /// Segments the decoded blocks held, returned or not.  Blocks decode
+    /// whole, so this minus `stats.segments_returned` is the decode work
+    /// the query threw away.  It sits beside [`QueryStats`], not in it:
+    /// callers that keep the stats of every query (perfbench keeps one
+    /// per operation) would otherwise pay for it each time.
+    pub segments_decoded: usize,
 }
 
 /// Aggregate store statistics.
@@ -860,6 +869,7 @@ impl TrajStore {
         let mut slice = TimeSlice {
             segments: Vec::new(),
             stats: QueryStats::default(),
+            segments_decoded: 0,
         };
         let Some(log) = self.logs.get(&device) else {
             return slice;
@@ -883,6 +893,7 @@ impl TrajStore {
             self.decode_stored(block, &mut arena)
                 .expect("stored blocks decode");
             let segments = arena.segments();
+            slice.segments_decoded += segments.len();
             for (j, s) in segments.iter().enumerate() {
                 let (lo, _) = time_span(s);
                 let hi = effective_t_hi(segments, j, &block.meta);
@@ -921,6 +932,7 @@ impl TrajStore {
                 blocks_in_scope: self.total_blocks,
                 ..QueryStats::default()
             },
+            segments_decoded: 0,
         };
         let mut current: Option<DeviceMatch> = None;
         let mut arena = self.arenas.checkout();
@@ -938,6 +950,7 @@ impl TrajStore {
                 .expect("stored blocks decode");
             let radius = block.meta.slack_radius();
             let segments = arena.segments();
+            query.segments_decoded += segments.len();
             for (j, s) in segments.iter().enumerate() {
                 // Absorbing segments are also responsible for points past
                 // their end, which the endpoint box cannot see; those
@@ -1138,20 +1151,21 @@ fn strip_hits(s: &SimplifiedSegment, meta: &BlockMeta, window: &BoundingBox) -> 
     }
     let (a, b) = (s.segment.start, s.segment.end);
     let (dx, dy) = (b.x - a.x, b.y - a.y);
-    let len = dx.hypot(dy);
+    let len = (dx * dx + dy * dy).sqrt();
     let slack = meta.quant_slack;
     if len <= 2.0 * slack {
         return true;
     }
     let (nx, ny) = (-dy / len, dx / len);
-    let (mut lo, mut hi, mut far) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
+    let (mut lo, mut hi, mut far_sq) = (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
     for c in r.corners() {
         let (rx, ry) = (c.x - a.x, c.y - a.y);
         let d = rx * nx + ry * ny;
         lo = lo.min(d);
         hi = hi.max(d);
-        far = far.max(rx.hypot(ry));
+        far_sq = far_sq.max(rx * rx + ry * ry);
     }
+    let far = far_sq.sqrt();
     let w = meta.zeta + slack * (1.0 + 2.0 * (far + slack) / (len - 2.0 * slack));
     lo <= w && -w <= hi
 }
@@ -1245,7 +1259,11 @@ mod tests {
         // block covering t ∈ [40, 60] — one decode, five blocks skipped.
         assert_eq!(slice.stats.blocks_decoded, 1);
         assert_eq!(slice.segments.len(), 2);
+        assert_eq!(slice.segments_decoded, 2);
         assert!(slice.stats.skip_ratio() > 0.8);
+        // t ∈ [41, 49] needs only [40,50], but its block decodes whole.
+        let narrow = store.time_slice(1, 41.0, 49.0);
+        assert_eq!((narrow.segments.len(), narrow.segments_decoded), (1, 2));
         for s in &slice.segments {
             assert!(s.segment.start.t <= 59.0 && s.segment.end.t >= 41.0);
         }

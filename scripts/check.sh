@@ -19,8 +19,9 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> fault-injection + fuzz + concurrency suites (release)"
+echo "==> fault-injection + fuzz + JSON number + concurrency suites (release)"
 cargo test --release -q -p traj-model --test fuzz_codec
+cargo test --release -q -p traj-model --test json_numbers
 cargo test --release -q -p traj-store --test fault_injection
 cargo test --release -q -p traj-store --test concurrent_stress
 cargo test --release -q -p traj-store --test golden_e2e

@@ -125,15 +125,18 @@ fn store_footprint_window_skipping_and_buffer_pool() {
         .collect();
     let answers: Vec<_> = windows
         .iter()
-        .map(|w| store.window_query(w, None).stats)
+        .map(|w| store.window_query(w, None))
         .collect();
     let worst = answers
         .iter()
-        .map(|q| (q.blocks_decoded, q.blocks_in_scope))
+        .map(|q| (q.stats.blocks_decoded, q.stats.blocks_in_scope))
         .max();
     assert_eq!(worst, Some((71, 241)));
-    let returned: Vec<usize> = answers.iter().map(|q| q.segments_returned).collect();
+    let returned: Vec<usize> = answers.iter().map(|q| q.stats.segments_returned).collect();
     assert_eq!(returned, [38, 32, 85, 37, 59, 57]);
+    // Blocks decode whole: what each window decoded to find them.
+    let decoded: Vec<usize> = answers.iter().map(|q| q.segments_decoded).collect();
+    assert_eq!(decoded, [1270, 983, 2249, 1204, 1368, 2187]);
 
     // Out of core: the payload cache holds a tenth of the stored bytes.
     // A cold pass slices every device and runs every window, then a hot
