@@ -378,6 +378,19 @@ pub enum Sample {
     Histogram(HistogramSnapshot),
 }
 
+impl Sample {
+    /// Adds `other` into `self`: counters and gauges add, histograms merge
+    /// bucket-wise.  A sample of another kind leaves `self` as it is.
+    fn add(&mut self, other: &Sample) {
+        match (self, other) {
+            (Sample::Counter(a), Sample::Counter(b)) => *a += b,
+            (Sample::Gauge(a), Sample::Gauge(b)) => *a += b,
+            (Sample::Histogram(a), Sample::Histogram(b)) => a.merge(b),
+            _ => {}
+        }
+    }
+}
+
 struct FamilySnapshot {
     help: String,
     kind: SampleKind,
@@ -458,19 +471,14 @@ impl Snapshot {
     /// merge bucket-wise, series absent from `self` are copied in.
     pub fn merge(&mut self, other: &Snapshot) {
         for (name, family) in &other.families {
-            for (labels, sample) in &family.samples {
-                let existing = self
+            for (labels, s) in &family.samples {
+                match self
                     .families
                     .get_mut(name)
-                    .and_then(|f| f.samples.get_mut(labels));
-                match (existing, sample) {
-                    (Some(Sample::Counter(a)), Sample::Counter(b)) => *a += b,
-                    (Some(Sample::Gauge(a)), Sample::Gauge(b)) => *a += b,
-                    (Some(Sample::Histogram(a)), Sample::Histogram(b)) => a.merge(b),
-                    (Some(_), _) => {} // kind clash: keep self's value
-                    (None, s) => {
-                        self.put(name, &family.help, family.kind, labels.clone(), s.clone());
-                    }
+                    .and_then(|f| f.samples.get_mut(labels))
+                {
+                    Some(existing) => existing.add(s),
+                    None => self.put(name, &family.help, family.kind, labels.clone(), s.clone()),
                 }
             }
         }
@@ -480,6 +488,16 @@ impl Snapshot {
     #[must_use]
     pub fn sample(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Sample> {
         self.families.get(name)?.samples.get(&label_set(labels))
+    }
+
+    /// The family `name` summed over its label sets — counters and gauges
+    /// add, histograms merge — or `None` when no series has that name.
+    #[must_use]
+    pub fn total(&self, name: &str) -> Option<Sample> {
+        let mut samples = self.families.get(name)?.samples.values();
+        let mut total = samples.next()?.clone();
+        samples.for_each(|sample| total.add(sample));
+        Some(total)
     }
 
     /// Number of distinct `(name, labels)` series.
@@ -818,6 +836,9 @@ mod tests {
             a.sample("reqs_total", &[("node", "b")]),
             Some(&Sample::Counter(5))
         );
+        // A family's total adds over its label sets.
+        assert_eq!(a.total("reqs_total"), Some(Sample::Counter(12)));
+        assert_eq!(a.total("absent_total"), None);
         match a.sample("lat_us", &[]) {
             Some(Sample::Histogram(h)) => {
                 assert_eq!(h.count(), 2);

@@ -323,22 +323,11 @@ impl WorkerMetrics {
     fn register(worker_index: usize) -> Self {
         let registry = traj_obs::Registry::global();
         let worker = worker_index.to_string();
+        let [points, streams, chunks] = aggregate_counters(registry);
         WorkerMetrics {
-            points: registry.counter(
-                "pipeline_points_total",
-                "Points compressed through the fleet pipeline.",
-                &[],
-            ),
-            streams: registry.counter(
-                "pipeline_streams_total",
-                "Trajectory streams finished by the fleet pipeline.",
-                &[],
-            ),
-            chunks: registry.counter(
-                "pipeline_chunks_total",
-                "Point chunks dispatched to pipeline workers.",
-                &[],
-            ),
+            points,
+            streams,
+            chunks,
             worker_points: registry.counter(
                 "pipeline_worker_points_total",
                 "Points compressed, by pipeline worker.",
@@ -353,25 +342,35 @@ impl WorkerMetrics {
     }
 }
 
-/// Registers the pipeline's aggregate ingest counters (at zero if no
-/// pipeline ran yet), so a metrics scrape always sees the series.
-pub fn ensure_metrics_registered() {
+/// The pipeline's fleet totals: points, streams and chunks.
+fn aggregate_counters(registry: &traj_obs::Registry) -> [traj_obs::Counter; 3] {
+    [
+        registry.counter(
+            "pipeline_points_total",
+            "Points compressed through the fleet pipeline.",
+            &[],
+        ),
+        registry.counter(
+            "pipeline_streams_total",
+            "Trajectory streams finished by the fleet pipeline.",
+            &[],
+        ),
+        registry.counter(
+            "pipeline_chunks_total",
+            "Point chunks dispatched to pipeline workers.",
+            &[],
+        ),
+    ]
+}
+
+/// The series of every pipeline this process ran, for a metrics scrape;
+/// the fleet totals read zero if none ran yet.  Pipelines are ephemeral,
+/// so their counters live in the process-wide registry, which holds
+/// nothing else.
+pub fn metrics_snapshot() -> traj_obs::Snapshot {
     let registry = traj_obs::Registry::global();
-    registry.counter(
-        "pipeline_points_total",
-        "Points compressed through the fleet pipeline.",
-        &[],
-    );
-    registry.counter(
-        "pipeline_streams_total",
-        "Trajectory streams finished by the fleet pipeline.",
-        &[],
-    );
-    registry.counter(
-        "pipeline_chunks_total",
-        "Point chunks dispatched to pipeline workers.",
-        &[],
-    );
+    aggregate_counters(registry);
+    registry.snapshot()
 }
 
 fn worker_loop(

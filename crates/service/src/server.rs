@@ -4,7 +4,7 @@
 //! endpoints over a shared [`ShardedStore`], and graceful shutdown.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -12,8 +12,13 @@ use std::time::{Duration, Instant};
 use traj_geo::{BoundingBox, Point};
 use traj_model::json::{write_number, write_u64, JsonValue};
 use traj_model::SimplifiedSegment;
-use traj_obs::{Gauge, Histogram, Registry, SpanRecord, Trace};
-use traj_store::{GeofenceAlert, GeofenceRegistry, QueryStats, ShardedStore};
+use traj_obs::{
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, Snapshot, SpanRecord, Trace,
+};
+use traj_store::{
+    CacheStats, DurabilityMode, GeofenceAlert, MemoryStats, QueryStats, ShardedStore, StoreStats,
+    WalStats,
+};
 
 use crate::http::{write_json_response, Connection, HttpError, Request};
 
@@ -85,23 +90,9 @@ impl ServiceConfig {
     }
 }
 
-/// Cumulative request counters, updated by the connection threads and
-/// readable while the server runs (all relaxed atomics — these are
-/// statistics, not synchronization).
-#[derive(Debug, Default)]
-struct Counters {
-    requests: AtomicU64,
-    client_errors: AtomicU64,
-    server_errors: AtomicU64,
-    rejected: AtomicU64,
-    latency_us_total: AtomicU64,
-    blocks_in_scope: AtomicU64,
-    blocks_decoded: AtomicU64,
-    index_candidates: AtomicU64,
-}
-
-/// A point-in-time snapshot of the server's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The server's counters at one instant, read from its metrics registry:
+/// the request count and latency sum are the endpoint histograms'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Requests answered (any status).
     pub requests: u64,
@@ -114,17 +105,37 @@ pub struct ServerStats {
     pub rejected: u64,
     /// Sum of handler latencies, microseconds.
     pub latency_us_total: u64,
-    /// Blocks in scope over all store queries served.
+    /// Blocks in scope over the `/time_slice` and `/window` queries served.
     pub blocks_in_scope: u64,
-    /// Blocks actually decoded over all store queries served.
+    /// Blocks decoded over the `/time_slice` and `/window` queries served.
     pub blocks_decoded: u64,
     /// Grid-index candidates over all window queries served.
     pub index_candidates: u64,
-    /// How long the server had been up when the snapshot was taken.
-    pub uptime: Duration,
 }
 
 impl ServerStats {
+    /// The server's numbers in `series`, a snapshot of its registry.
+    fn read(series: &Snapshot) -> Self {
+        let counter = |name| match series.total(name) {
+            Some(Sample::Counter(v)) => v,
+            _ => 0,
+        };
+        let latency = match series.total(REQUEST_DURATION) {
+            Some(Sample::Histogram(h)) => h,
+            _ => HistogramSnapshot::default(),
+        };
+        ServerStats {
+            requests: latency.count(),
+            client_errors: counter("service_client_errors_total"),
+            server_errors: counter("service_server_errors_total"),
+            rejected: counter("service_rejected_total"),
+            latency_us_total: latency.sum,
+            blocks_in_scope: counter("store_blocks_in_scope_total"),
+            blocks_decoded: counter("store_blocks_decoded_total"),
+            index_candidates: counter("store_index_candidates_total"),
+        }
+    }
+
     /// Mean handler latency in microseconds (0 with no requests).
     pub fn mean_latency_us(&self) -> f64 {
         if self.requests == 0 {
@@ -133,14 +144,8 @@ impl ServerStats {
         self.latency_us_total as f64 / self.requests as f64
     }
 
-    /// Served requests per second of uptime — the server-side throughput
-    /// number (client-observed QPS additionally includes network and
-    /// queueing time).
-    pub fn qps(&self) -> f64 {
-        self.requests as f64 / self.uptime.as_secs_f64().max(1e-12)
-    }
-
-    /// Aggregate skip ratio over every store query served.
+    /// Aggregate skip ratio over the `/time_slice` and `/window` queries
+    /// served.
     pub fn skip_ratio(&self) -> f64 {
         if self.blocks_in_scope == 0 {
             return 0.0;
@@ -149,80 +154,45 @@ impl ServerStats {
     }
 }
 
-/// The fixed endpoint set, each with a pre-registered latency histogram —
-/// created once at startup so the per-request path touches only atomics
-/// (no registry mutex), and so unknown paths collapse onto one `other`
-/// series instead of creating a label per probe.
-struct EndpointMetrics {
-    devices: Histogram,
-    time_slice: Histogram,
-    window: Histogram,
-    position_at: Histogram,
-    knn: Histogram,
-    geofences: Histogram,
-    geofence_add: Histogram,
-    subscribe: Histogram,
-    stats: Histogram,
-    metrics: Histogram,
-    trace: Histogram,
-    other: Histogram,
-}
+/// The handler latency series, one per endpoint.
+const REQUEST_DURATION: &str = "service_request_duration_us";
 
-impl EndpointMetrics {
-    const NAME: &'static str = "service_request_duration_us";
-    const HELP: &'static str = "Wall-clock request handling time in microseconds, by endpoint.";
-
-    fn register(registry: &Registry) -> Self {
-        let hist =
-            |endpoint: &str| registry.histogram(Self::NAME, Self::HELP, &[("endpoint", endpoint)]);
-        EndpointMetrics {
-            devices: hist("/devices"),
-            time_slice: hist("/time_slice"),
-            window: hist("/window"),
-            position_at: hist("/position_at"),
-            knn: hist("/knn"),
-            geofences: hist("/geofences"),
-            geofence_add: hist("/geofence_add"),
-            subscribe: hist("/subscribe"),
-            stats: hist("/stats"),
-            metrics: hist("/metrics"),
-            trace: hist("/trace"),
-            other: hist("other"),
-        }
-    }
-
-    fn for_path(&self, path: &str) -> &Histogram {
-        match path {
-            "/devices" => &self.devices,
-            "/time_slice" => &self.time_slice,
-            "/window" => &self.window,
-            "/position_at" => &self.position_at,
-            "/knn" => &self.knn,
-            "/geofences" => &self.geofences,
-            "/geofence_add" => &self.geofence_add,
-            "/subscribe" => &self.subscribe,
-            "/stats" => &self.stats,
-            "/metrics" => &self.metrics,
-            "/trace" => &self.trace,
-            _ => &self.other,
-        }
-    }
-}
+/// The endpoints with a latency histogram of their own, created once at
+/// startup so that a request touches only atomics; every other path is
+/// recorded as the last, `other`, so that a probe adds no label.
+const ENDPOINTS: [&str; 12] = [
+    "/devices",
+    "/time_slice",
+    "/window",
+    "/position_at",
+    "/knn",
+    "/geofences",
+    "/geofence_add",
+    "/subscribe",
+    "/stats",
+    "/metrics",
+    "/trace",
+    "other",
+];
 
 /// Everything a connection thread needs to answer requests.
 struct Shared {
     store: Arc<ShardedStore>,
-    counters: Counters,
     config: ServiceConfig,
     shutdown: AtomicBool,
     addr: SocketAddr,
     started: Instant,
-    /// Per-server metrics: endpoint latency histograms and the queue-depth
-    /// gauge live here; `/metrics` merges in the process-global registry
-    /// (pipeline ingest counters) and appends store/pager/WAL series read
-    /// at scrape time.
+    /// This server's series: the handles below.  A scrape adds the
+    /// pipeline's and the store's (see [`scrape`]).
     registry: Registry,
-    endpoints: EndpointMetrics,
+    /// Handler latency, in [`ENDPOINTS`] order.
+    latency: [Histogram; ENDPOINTS.len()],
+    client_errors: Counter,
+    server_errors: Counter,
+    rejected: Counter,
+    blocks_in_scope: Counter,
+    blocks_decoded: Counter,
+    index_candidates: Counter,
     queue_depth: Gauge,
     /// The open connections, so that shutdown can close their read sides.
     /// Its length is the admission count.
@@ -239,6 +209,12 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
+    /// The latency histogram of the endpoint at `path`.
+    fn latency_of(&self, path: &str) -> &Histogram {
+        let endpoint = ENDPOINTS.iter().position(|e| *e == path);
+        &self.latency[endpoint.unwrap_or(ENDPOINTS.len() - 1)]
+    }
+
     /// Flags shutdown, closes the read side of every open connection so
     /// that idle ones end at once, and wakes the blocking `accept` with a
     /// throwaway connection so the accept loop observes the flag promptly.
@@ -335,29 +311,45 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let workers = config.workers.max(1);
-        // Pipeline ingest counters live in the process-global registry;
-        // make sure the aggregate series exist (at zero) before the first
-        // scrape even if no pipeline ran in this process.
-        traj_pipeline::executor::ensure_metrics_registered();
-        traj_store::query::knn::ensure_metrics_registered();
-        GeofenceRegistry::ensure_metrics_registered();
         let registry = Registry::new();
-        let endpoints = EndpointMetrics::register(&registry);
-        let depth_gauge = registry.gauge(
-            "service_queue_depth",
-            "Requests waiting for a handler permit.",
-            &[],
-        );
+        let counter = |name, help| registry.counter(name, help, &[]);
         let shared = Arc::new(Shared {
             store,
-            counters: Counters::default(),
             config,
             shutdown: AtomicBool::new(false),
             addr: local,
             started: Instant::now(),
+            latency: ENDPOINTS.map(|endpoint| {
+                registry.histogram(
+                    REQUEST_DURATION,
+                    "Wall-clock request handling time in microseconds, by endpoint.",
+                    &[("endpoint", endpoint)],
+                )
+            }),
+            client_errors: counter("service_client_errors_total", "Responses with a 4xx status."),
+            server_errors: counter("service_server_errors_total", "Responses with a 5xx status."),
+            rejected: counter(
+                "service_rejected_total",
+                "Connections refused with 503 because the open-connection bound was reached.",
+            ),
+            blocks_in_scope: counter(
+                "store_blocks_in_scope_total",
+                "Blocks in scope over the /time_slice and /window queries served.",
+            ),
+            blocks_decoded: counter(
+                "store_blocks_decoded_total",
+                "Blocks actually decoded over the /time_slice and /window queries served.",
+            ),
+            index_candidates: counter(
+                "store_index_candidates_total",
+                "Grid-index candidate blocks over all window queries served, before the metadata check.",
+            ),
+            queue_depth: registry.gauge(
+                "service_queue_depth",
+                "Requests waiting for a handler permit.",
+                &[],
+            ),
             registry,
-            endpoints,
-            queue_depth: depth_gauge,
             open: Mutex::new(Vec::new()),
             permits: Mutex::new(workers),
             permit_freed: Condvar::new(),
@@ -381,7 +373,7 @@ impl Server {
 
     /// A snapshot of the request counters.
     pub fn stats(&self) -> ServerStats {
-        snapshot(&self.shared)
+        ServerStats::read(&self.shared.registry.snapshot())
     }
 
     /// Requests a graceful stop: the accept loop closes, idle connections
@@ -400,28 +392,13 @@ impl Server {
         if let Some(h) = self.accept_thread.take() {
             h.join().expect("the accept loop does not panic");
         }
-        snapshot(&self.shared)
+        self.stats()
     }
 
     /// [`Server::shutdown`] followed by [`Server::join`].
     pub fn stop(self) -> ServerStats {
         self.shared.signal_shutdown();
         self.join()
-    }
-}
-
-fn snapshot(shared: &Shared) -> ServerStats {
-    let c = &shared.counters;
-    ServerStats {
-        requests: c.requests.load(Ordering::Relaxed),
-        client_errors: c.client_errors.load(Ordering::Relaxed),
-        server_errors: c.server_errors.load(Ordering::Relaxed),
-        rejected: c.rejected.load(Ordering::Relaxed),
-        latency_us_total: c.latency_us_total.load(Ordering::Relaxed),
-        blocks_in_scope: c.blocks_in_scope.load(Ordering::Relaxed),
-        blocks_decoded: c.blocks_decoded.load(Ordering::Relaxed),
-        index_candidates: c.index_candidates.load(Ordering::Relaxed),
-        uptime: shared.started.elapsed(),
     }
 }
 
@@ -487,7 +464,7 @@ fn accept_next(shared: &Arc<Shared>, listener: &TcpListener) -> Option<Admitted>
             }
         }
         // Bounded: refuse instead of holding connections without bound.
-        shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        shared.rejected.inc();
         let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
         let _ = write_json_response(
             &mut &*stream,
@@ -563,7 +540,7 @@ fn serve_connection(connection: &Admitted) {
                 (
                     status,
                     body,
-                    shared.endpoints.for_path(&request.path),
+                    shared.latency_of(&request.path),
                     request.keep_alive,
                 )
             }
@@ -577,23 +554,16 @@ fn serve_connection(connection: &Admitted) {
                     "error",
                     JsonValue::from(e.to_string()),
                 )]))),
-                &shared.endpoints.other,
+                shared.latency_of("other"),
                 false,
             ),
         };
         let keep_alive = keep_alive && !shared.shutdown.load(Ordering::SeqCst);
         let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let c = &shared.counters;
-        c.requests.fetch_add(1, Ordering::Relaxed);
-        c.latency_us_total.fetch_add(latency_us, Ordering::Relaxed);
         endpoint.record(latency_us);
         match status {
-            400..=499 => {
-                c.client_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            500..=599 => {
-                c.server_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            400..=499 => shared.client_errors.inc(),
+            500..=599 => shared.server_errors.inc(),
             _ => {}
         }
         let written = match body {
@@ -635,7 +605,7 @@ type Rejection = (u16, JsonValue);
 fn respond(shared: &Shared, request: &Request) -> (u16, Body) {
     let store = shared.store.as_ref();
     let streamed = match request.path.as_str() {
-        "/metrics" => return (200, Body::Text(render_metrics(shared))),
+        "/metrics" => return (200, Body::Text(scrape(shared).series.render_prometheus())),
         "/time_slice" => handle_time_slice(store, shared, request),
         "/window" => handle_window(store, shared, request),
         "/position_at" => handle_position_at(store, request),
@@ -657,7 +627,7 @@ fn respond_tree(shared: &Shared, request: &Request) -> (u16, JsonValue) {
         "/geofences" => handle_geofences(store),
         "/geofence_add" => handle_geofence_add(store, request),
         "/subscribe" => handle_subscribe(store, request),
-        "/stats" => handle_stats(store, shared),
+        "/stats" => handle_stats(shared),
         "/trace" => handle_trace(request),
         "/shutdown" if shared.config.enable_shutdown_endpoint => {
             shared.signal_shutdown();
@@ -804,13 +774,9 @@ fn response_buffer(segments: usize) -> String {
 }
 
 fn record_query_stats(shared: &Shared, stats: &QueryStats) {
-    let c = &shared.counters;
-    c.blocks_in_scope
-        .fetch_add(stats.blocks_in_scope as u64, Ordering::Relaxed);
-    c.blocks_decoded
-        .fetch_add(stats.blocks_decoded as u64, Ordering::Relaxed);
-    c.index_candidates
-        .fetch_add(stats.index_candidates as u64, Ordering::Relaxed);
+    shared.blocks_in_scope.add(stats.blocks_in_scope as u64);
+    shared.blocks_decoded.add(stats.blocks_decoded as u64);
+    shared.index_candidates.add(stats.index_candidates as u64);
 }
 
 fn handle_devices(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
@@ -1031,35 +997,15 @@ fn handle_geofences(store: &ShardedStore) -> (u16, JsonValue) {
             JsonValue::Object(pairs)
         })
         .collect();
-    let stats = fences.stats();
+    let mut scrape = Scrape::default();
+    fences.stats().export(&mut scrape.series);
     (
         200,
         JsonValue::object([
             ("fences", JsonValue::Array(listed)),
-            ("stats", geofence_stats_json(&stats)),
+            ("stats", scrape.members(GEOFENCE_STATS)),
         ]),
     )
-}
-
-fn geofence_stats_json(stats: &traj_store::GeofenceStats) -> JsonValue {
-    JsonValue::object([
-        ("fences", JsonValue::from(stats.fences)),
-        ("alerts_fired", JsonValue::from(stats.alerts_fired as f64)),
-        (
-            "blocks_checked",
-            JsonValue::from(stats.blocks_checked as f64),
-        ),
-        (
-            "blocks_skipped",
-            JsonValue::from(stats.blocks_skipped as f64),
-        ),
-        ("subscriptions", JsonValue::from(stats.subscriptions)),
-        ("ring_evicted", JsonValue::from(stats.ring_evicted as f64)),
-        (
-            "subscriber_dropped",
-            JsonValue::from(stats.subscriber_dropped as f64),
-        ),
-    ])
 }
 
 /// `GET /geofence_add?name=…&min_x=…&min_y=…&max_x=…&max_y=…[&from=…&to=…]`:
@@ -1142,377 +1088,243 @@ fn handle_subscribe(store: &ShardedStore, request: &Request) -> (u16, JsonValue)
     )
 }
 
-fn handle_stats(store: &ShardedStore, shared: &Shared) -> (u16, JsonValue) {
-    let s = store.stats();
-    let mem = store.memory_stats();
-    let server = snapshot(shared);
-    let mut sections = Vec::from([
-        (
-            "store",
-            JsonValue::object([
-                ("devices", JsonValue::from(s.devices)),
-                ("blocks", JsonValue::from(s.blocks)),
-                ("segments", JsonValue::from(s.segments)),
-                ("points", JsonValue::from(s.points)),
-                ("stored_bytes", JsonValue::from(s.stored_bytes)),
-                ("resident_bytes", JsonValue::from(s.resident_bytes)),
-                ("bytes_per_point", JsonValue::from(s.bytes_per_point())),
-                (
-                    "compression_factor",
-                    JsonValue::from(s.compression_factor()),
-                ),
-            ]),
-        ),
-        (
-            "memory",
-            JsonValue::object([
-                (
-                    "resident_payload_bytes",
-                    JsonValue::from(mem.resident_payload_bytes),
-                ),
-                ("index_bytes", JsonValue::from(mem.index_bytes)),
-                ("arena_creates", JsonValue::from(mem.arena_creates as f64)),
-                ("arena_reuses", JsonValue::from(mem.arena_reuses as f64)),
-            ]),
-        ),
-        (
-            "server",
-            JsonValue::object([
-                ("requests", JsonValue::from(server.requests as f64)),
-                (
-                    "client_errors",
-                    JsonValue::from(server.client_errors as f64),
-                ),
-                (
-                    "server_errors",
-                    JsonValue::from(server.server_errors as f64),
-                ),
-                ("rejected", JsonValue::from(server.rejected as f64)),
-                ("mean_latency_us", JsonValue::from(server.mean_latency_us())),
-                ("skip_ratio", JsonValue::from(server.skip_ratio())),
-                ("num_shards", JsonValue::from(shared.store.num_shards())),
-                (
-                    "uptime_seconds",
-                    JsonValue::from(shared.started.elapsed().as_secs_f64()),
-                ),
-            ]),
-        ),
-    ]);
-    // The query engine: standing geofence accounting.
-    sections.push((
-        "query",
-        JsonValue::object([("geofence", geofence_stats_json(&store.geofences().stats()))]),
-    ));
-    // Durable stores additionally report their write-ahead log: how much
-    // of the live segment is unfolded, what group commit costs, and what
-    // the last recovery replayed.
-    if let Some(w) = store.wal_stats() {
-        sections.push((
-            "wal",
-            JsonValue::object([
-                ("mode", JsonValue::from(w.mode)),
-                ("wal_bytes", JsonValue::from(w.wal_bytes as f64)),
-                (
-                    "ingests_appended",
-                    JsonValue::from(w.ingests_appended as f64),
-                ),
-                (
-                    "records_appended",
-                    JsonValue::from(w.records_appended as f64),
-                ),
-                ("syncs", JsonValue::from(w.syncs as f64)),
-                ("sync_p50_us", JsonValue::from(w.sync_p50_us as f64)),
-                ("sync_p99_us", JsonValue::from(w.sync_p99_us as f64)),
-                ("records_replayed", JsonValue::from(w.records_replayed)),
-                ("ingests_replayed", JsonValue::from(w.ingests_replayed)),
-                ("checkpoints", JsonValue::from(w.checkpoints as f64)),
-            ]),
-        ));
-    }
-    // Stores opened from disk page payloads through the buffer pool;
-    // report its counters (absent for purely in-memory stores).
-    if let Some(c) = mem.cache {
-        sections.push((
-            "cache",
-            JsonValue::object([
-                (
-                    "capacity_bytes",
-                    match c.capacity_bytes {
-                        Some(cap) => JsonValue::from(cap),
-                        None => JsonValue::Null,
-                    },
-                ),
-                ("resident_bytes", JsonValue::from(c.resident_bytes)),
-                ("resident_pages", JsonValue::from(c.resident_pages)),
-                ("hits", JsonValue::from(c.hits as f64)),
-                ("misses", JsonValue::from(c.misses as f64)),
-                ("evictions", JsonValue::from(c.evictions as f64)),
-                ("hit_ratio", JsonValue::from(c.hit_ratio())),
-            ]),
-        ));
-    }
-    (200, JsonValue::object(sections))
+/// One read of every subsystem, taken once per `/metrics` or `/stats`
+/// request: the series both render, and the reads they were put from,
+/// which `/stats` derives its ratios from.
+#[derive(Default)]
+struct Scrape {
+    series: Snapshot,
+    /// The server's numbers, read from `series`.
+    server: ServerStats,
+    store: StoreStats,
+    memory: MemoryStats,
+    /// Under mode `none` for a store without a write-ahead log.
+    wal: WalStats,
+    num_shards: usize,
 }
 
-/// Builds the `/metrics` exposition: the server's own registry (endpoint
-/// latency histograms, queue depth), merged with the process-global
-/// registry (pipeline ingest counters), plus store / pager / WAL series
-/// read at scrape time.  Every family is always emitted — a store without
-/// a buffer pool or WAL reports zeros rather than dropping the series, so
-/// dashboards and the smoke gate see a stable schema.
-fn render_metrics(shared: &Shared) -> String {
-    let mut snap = shared.registry.snapshot();
-    snap.merge(&Registry::global().snapshot());
-    let server = snapshot(shared);
+impl Scrape {
+    /// A counter or gauge family's value, summed over its label sets (0
+    /// when absent).
+    fn value(&self, name: &str) -> f64 {
+        match self.series.total(name) {
+            Some(Sample::Counter(v)) => v as f64,
+            Some(Sample::Gauge(v)) => v,
+            _ => 0.0,
+        }
+    }
 
-    // Service.
-    snap.put_counter(
+    /// A WAL sync-latency quantile, at the histogram's bucket resolution.
+    fn sync_quantile(&self, q: f64) -> f64 {
+        self.wal.sync_latency.quantile(q) as f64
+    }
+
+    /// The buffer pool's counters (zeros without a pool).
+    fn cache(&self) -> CacheStats {
+        self.memory.cache.unwrap_or_default()
+    }
+
+    /// The `/stats` object of `keys`, read from this scrape.
+    fn members<'k>(&self, keys: impl IntoIterator<Item = &'k (&'k str, Stat)>) -> JsonValue {
+        let value = |stat: &Stat| match stat {
+            Series(name) => JsonValue::from(self.value(name)),
+            Derived(derive) => JsonValue::from(derive(self)),
+            Value(derive) => derive(self),
+            Section(keys) => self.members(*keys),
+        };
+        let members = keys
+            .into_iter()
+            .map(|(key, stat)| (key.to_string(), value(stat)));
+        JsonValue::Object(members.collect())
+    }
+}
+
+/// Reads the server's registry, the pipeline's series and each of the
+/// store's accounts once, into the snapshot behind both `/metrics` and
+/// `/stats`.  Every family is always present — a store without a buffer
+/// pool or WAL reports zeros (the WAL's under mode `none`) rather than
+/// dropping the series, so dashboards see a stable schema.
+fn scrape(shared: &Shared) -> Scrape {
+    let mut series = shared.registry.snapshot();
+    series.merge(&traj_pipeline::executor::metrics_snapshot());
+    let server = ServerStats::read(&series);
+    series.put_counter(
         "service_requests_total",
         "Requests answered (any status).",
         &[],
         server.requests,
     );
-    snap.put_counter(
-        "service_client_errors_total",
-        "Responses with a 4xx status.",
-        &[],
-        server.client_errors,
-    );
-    snap.put_counter(
-        "service_server_errors_total",
-        "Responses with a 5xx status.",
-        &[],
-        server.server_errors,
-    );
-    snap.put_counter(
-        "service_rejected_total",
-        "Connections refused with 503 because the open-connection bound was reached.",
-        &[],
-        server.rejected,
-    );
-    snap.put_gauge(
+    series.put_gauge(
         "service_queue_capacity",
         "Open connections allowed beyond the handler permits.",
         &[],
         shared.config.queue_depth as f64,
     );
-    snap.put_gauge(
+    series.put_gauge(
         "service_workers",
         "Handler permits: requests answered at once.",
         &[],
         shared.config.workers as f64,
     );
-    snap.put_gauge(
+    series.put_gauge(
         "service_uptime_seconds",
         "Seconds since the server started.",
         &[],
-        server.uptime.as_secs_f64(),
+        shared.started.elapsed().as_secs_f64(),
     );
-    snap.put_gauge(
+    series.put_gauge(
         "service_slow_queries_logged",
         "Traces currently held in the slow-query ring buffer.",
         &[],
         traj_obs::slow_log().len() as f64,
     );
 
-    // Store.
-    let s = shared.store.stats();
-    let mem = shared.store.memory_stats();
-    snap.put_gauge(
-        "store_devices",
-        "Device streams stored.",
-        &[],
-        s.devices as f64,
-    );
-    snap.put_gauge(
-        "store_blocks",
-        "Sealed blocks stored.",
-        &[],
-        s.blocks as f64,
-    );
-    snap.put_gauge(
-        "store_segments",
-        "Simplified segments stored.",
-        &[],
-        s.segments as f64,
-    );
-    snap.put_gauge(
-        "store_points",
-        "Original trajectory points the store is responsible for.",
-        &[],
-        s.points as f64,
-    );
-    snap.put_gauge(
-        "store_stored_bytes",
-        "Stored bytes: payloads plus nominal per-block metadata.",
-        &[],
-        s.stored_bytes as f64,
-    );
-    snap.put_gauge(
-        "store_resident_payload_bytes",
-        "Payload bytes held inline (not yet checkpointed to disk).",
-        &[],
-        mem.resident_payload_bytes as f64,
-    );
-    snap.put_gauge(
-        "store_index_bytes",
-        "Approximate heap footprint of the grid index.",
-        &[],
-        mem.index_bytes as f64,
-    );
-    snap.put_counter(
-        "store_arena_creates_total",
-        "Decode arenas allocated by queries.",
-        &[],
-        mem.arena_creates,
-    );
-    snap.put_counter(
-        "store_arena_reuses_total",
-        "Queries that reused a pooled decode arena instead of allocating.",
-        &[],
-        mem.arena_reuses,
-    );
-    snap.put_counter(
-        "store_blocks_in_scope_total",
-        "Blocks in scope over all store queries served.",
-        &[],
-        server.blocks_in_scope,
-    );
-    snap.put_counter(
-        "store_blocks_decoded_total",
-        "Blocks actually decoded over all store queries served.",
-        &[],
-        server.blocks_decoded,
-    );
-    snap.put_counter(
-        "store_index_candidates_total",
-        "Grid-index candidate blocks over all window queries served, before the metadata check.",
-        &[],
-        server.index_candidates,
-    );
-    // Query engine.  The cumulative geofence/kNN counters live in the
-    // merged global registry (registered at zero at startup); this store's
-    // registry-local view is exported as gauges so a restart is visible.
-    let geofence = shared.store.geofences().stats();
-    snap.put_gauge(
-        "geofence_fences",
-        "Standing geofence queries registered on the served store.",
-        &[],
-        geofence.fences as f64,
-    );
-    snap.put_gauge(
-        "geofence_subscriptions",
-        "Live geofence alert subscriptions.",
-        &[],
-        geofence.subscriptions as f64,
-    );
-    snap.put_gauge(
-        "geofence_ring_evicted",
-        "Alerts evicted from this store's polling ring.",
-        &[],
-        geofence.ring_evicted as f64,
-    );
-    for (shard, blocks) in shared.store.per_shard_blocks().iter().enumerate() {
-        snap.put_gauge(
+    let store = shared.store.as_ref();
+    let stats = store.stats();
+    let memory = store.memory_stats();
+    let wal = store.wal_stats().unwrap_or_else(|| WalStats {
+        mode: DurabilityMode::None.name(),
+        ..WalStats::default()
+    });
+    stats.export(&mut series);
+    memory.export(&mut series);
+    wal.export(&mut series);
+    store.geofences().stats().export(&mut series);
+    store.knn_counters().export(&mut series);
+    for (shard, blocks) in store.per_shard_blocks().iter().enumerate() {
+        series.put_gauge(
             "store_shard_blocks",
             "Sealed blocks resident, by shard.",
             &[("shard", &shard.to_string())],
             *blocks as f64,
         );
     }
+    Scrape {
+        series,
+        server,
+        store: stats,
+        memory,
+        wal,
+        num_shards: store.num_shards(),
+    }
+}
 
-    // Pager (buffer pool).  Zeros when the store has no disk-backed
-    // payloads to page.
-    let cache = mem.cache;
-    snap.put_counter(
-        "pager_hits_total",
-        "Block fetches served from the buffer pool.",
-        &[],
-        cache.as_ref().map_or(0, |c| c.hits),
-    );
-    snap.put_counter(
-        "pager_misses_total",
-        "Block fetches that read from disk.",
-        &[],
-        cache.as_ref().map_or(0, |c| c.misses),
-    );
-    snap.put_counter(
-        "pager_evictions_total",
-        "Pages evicted to stay under the cache budget.",
-        &[],
-        cache.as_ref().map_or(0, |c| c.evictions),
-    );
-    snap.put_gauge(
-        "pager_resident_bytes",
-        "Payload bytes resident in the buffer pool.",
-        &[],
-        cache.as_ref().map_or(0, |c| c.resident_bytes) as f64,
-    );
-    snap.put_gauge(
-        "pager_resident_pages",
-        "Pages resident in the buffer pool.",
-        &[],
-        cache.as_ref().map_or(0, |c| c.resident_pages) as f64,
-    );
-    snap.put_gauge(
-        "pager_capacity_bytes",
-        "Configured cache budget in bytes (0 = unbounded or no pager).",
-        &[],
-        cache.as_ref().and_then(|c| c.capacity_bytes).unwrap_or(0) as f64,
-    );
+/// What a `/stats` key reports.
+enum Stat {
+    /// A series' value, summed over its label sets.
+    Series(&'static str),
+    /// A number worked out from the scrape.
+    Derived(fn(&Scrape) -> f64),
+    /// Any other value worked out from the scrape.
+    Value(fn(&Scrape) -> JsonValue),
+    /// A nested object.
+    Section(&'static [(&'static str, Stat)]),
+}
 
-    // WAL.  Zeros under mode "none" for non-durable stores.
-    let wal = shared.store.wal_stats();
-    let mode = wal.as_ref().map_or("none", |w| w.mode);
-    let labels = [("mode", mode)];
-    snap.put_counter(
-        "wal_appends_total",
-        "Ingest batches appended to the write-ahead log.",
-        &labels,
-        wal.as_ref().map_or(0, |w| w.ingests_appended),
-    );
-    snap.put_counter(
-        "wal_records_total",
-        "Records appended to the write-ahead log.",
-        &labels,
-        wal.as_ref().map_or(0, |w| w.records_appended),
-    );
-    snap.put_counter(
-        "wal_syncs_total",
-        "Group-commit fsync batches completed.",
-        &labels,
-        wal.as_ref().map_or(0, |w| w.syncs),
-    );
-    snap.put_counter(
-        "wal_checkpoints_total",
-        "Checkpoints folding the log into the base store.",
-        &labels,
-        wal.as_ref().map_or(0, |w| w.checkpoints),
-    );
-    snap.put_gauge(
-        "wal_bytes",
-        "Bytes in the live write-ahead log segment.",
-        &labels,
-        wal.as_ref().map_or(0, |w| w.wal_bytes) as f64,
-    );
-    snap.put_gauge(
-        "wal_records_replayed",
-        "Records the last recovery replayed.",
-        &labels,
-        wal.as_ref().map_or(0, |w| w.records_replayed) as f64,
-    );
-    let sync_latency = shared
-        .store
-        .wal_sync_latency()
-        .unwrap_or_else(|| Histogram::new().snapshot());
-    snap.put_histogram(
-        "wal_sync_duration_us",
-        "Group-commit fsync latency in microseconds.",
-        &labels,
-        sync_latency,
-    );
+use Stat::{Derived, Section, Series, Value};
 
-    snap.render_prometheus()
+/// The `/stats` document, a section per subsystem.  `wal` appears only for
+/// a durable store, `cache` only for a store that pages from disk.
+const STATS: &[(&str, Stat)] = &[
+    ("store", Section(STORE_STATS)),
+    ("memory", Section(MEMORY_STATS)),
+    ("server", Section(SERVER_STATS)),
+    ("query", Section(&[("geofence", Section(GEOFENCE_STATS))])),
+    ("wal", Section(WAL_STATS)),
+    ("cache", Section(CACHE_STATS)),
+];
+
+const STORE_STATS: &[(&str, Stat)] = &[
+    ("devices", Series("store_devices")),
+    ("blocks", Series("store_blocks")),
+    ("segments", Series("store_segments")),
+    ("points", Series("store_points")),
+    ("stored_bytes", Series("store_stored_bytes")),
+    ("resident_bytes", Series("store_resident_payload_bytes")),
+    ("bytes_per_point", Derived(|s| s.store.bytes_per_point())),
+    (
+        "compression_factor",
+        Derived(|s| s.store.compression_factor()),
+    ),
+];
+
+const MEMORY_STATS: &[(&str, Stat)] = &[
+    (
+        "resident_payload_bytes",
+        Series("store_resident_payload_bytes"),
+    ),
+    ("index_bytes", Series("store_index_bytes")),
+    ("arena_creates", Series("store_arena_creates_total")),
+    ("arena_reuses", Series("store_arena_reuses_total")),
+];
+
+const SERVER_STATS: &[(&str, Stat)] = &[
+    ("requests", Series("service_requests_total")),
+    ("client_errors", Series("service_client_errors_total")),
+    ("server_errors", Series("service_server_errors_total")),
+    ("rejected", Series("service_rejected_total")),
+    ("mean_latency_us", Derived(|s| s.server.mean_latency_us())),
+    ("skip_ratio", Derived(|s| s.server.skip_ratio())),
+    ("num_shards", Derived(|s| s.num_shards as f64)),
+    ("uptime_seconds", Series("service_uptime_seconds")),
+];
+
+const WAL_STATS: &[(&str, Stat)] = &[
+    ("mode", Value(|s| s.wal.mode.into())),
+    ("wal_bytes", Series("wal_bytes")),
+    ("ingests_appended", Series("wal_appends_total")),
+    ("records_appended", Series("wal_records_total")),
+    ("syncs", Series("wal_syncs_total")),
+    ("sync_p50_us", Derived(|s| s.sync_quantile(0.5))),
+    ("sync_p99_us", Derived(|s| s.sync_quantile(0.99))),
+    ("records_replayed", Series("wal_records_replayed")),
+    (
+        "ingests_replayed",
+        Derived(|s| s.wal.ingests_replayed as f64),
+    ),
+    ("checkpoints", Series("wal_checkpoints_total")),
+];
+
+const CACHE_STATS: &[(&str, Stat)] = &[
+    (
+        "capacity_bytes",
+        Value(|s| {
+            s.cache()
+                .capacity_bytes
+                .map_or(JsonValue::Null, JsonValue::from)
+        }),
+    ),
+    ("resident_bytes", Series("pager_resident_bytes")),
+    ("resident_pages", Series("pager_resident_pages")),
+    ("hits", Series("pager_hits_total")),
+    ("misses", Series("pager_misses_total")),
+    ("evictions", Series("pager_evictions_total")),
+    ("hit_ratio", Derived(|s| s.cache().hit_ratio())),
+];
+
+/// The geofence registry's accounting, in `/stats` and `/geofences`.
+const GEOFENCE_STATS: &[(&str, Stat)] = &[
+    ("fences", Series("geofence_fences")),
+    ("alerts_fired", Series("geofence_alerts_total")),
+    ("blocks_checked", Series("geofence_blocks_checked_total")),
+    ("blocks_skipped", Series("geofence_blocks_skipped_total")),
+    ("subscriptions", Series("geofence_subscriptions")),
+    ("ring_evicted", Series("geofence_ring_evicted")),
+    (
+        "subscriber_dropped",
+        Series("geofence_subscriber_dropped_total"),
+    ),
+];
+
+/// `GET /stats`: [`STATS`] read from one [`scrape`].
+fn handle_stats(shared: &Shared) -> (u16, JsonValue) {
+    let scrape = scrape(shared);
+    let sections = STATS.iter().filter(|(section, _)| match *section {
+        "wal" => scrape.wal.mode != DurabilityMode::None.name(),
+        "cache" => scrape.memory.cache.is_some(),
+        _ => true,
+    });
+    (200, scrape.members(sections))
 }
 
 fn span_json(s: &SpanRecord) -> JsonValue {

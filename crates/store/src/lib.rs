@@ -81,8 +81,8 @@ pub use index::{BlockRef, GridIndex};
 pub use pager::CacheStats;
 pub use persist::RecoveryReport;
 pub use query::{
-    GeofenceAlert, GeofenceRegistry, GeofenceSpec, GeofenceStats, KnnNeighbor, KnnResult, KnnStats,
-    PollResult, Subscription,
+    GeofenceAlert, GeofenceRegistry, GeofenceSpec, GeofenceStats, KnnCounters, KnnNeighbor,
+    KnnResult, KnnStats, PollResult, Subscription,
 };
 pub use shard::{DurableReport, ShardedStore};
 pub use sink::{

@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use traj_model::codec::DecodeArena;
+use traj_obs::Snapshot;
 
 use crate::store::StoreError;
 
@@ -175,7 +176,7 @@ impl Sieve {
 
 /// Counters of the buffer-pool pager, surfaced through store stats and
 /// `/stats`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheStats {
     /// Capacity in bytes (`None` = unbounded).
     pub capacity_bytes: Option<usize>,
@@ -200,6 +201,46 @@ impl CacheStats {
             return 0.0;
         }
         self.hits as f64 / total as f64
+    }
+
+    /// Puts the pool's `pager_*` series into a metrics snapshot.
+    pub fn export(&self, series: &mut Snapshot) {
+        series.put_counter(
+            "pager_hits_total",
+            "Block fetches served from the buffer pool.",
+            &[],
+            self.hits,
+        );
+        series.put_counter(
+            "pager_misses_total",
+            "Block fetches that read from disk.",
+            &[],
+            self.misses,
+        );
+        series.put_counter(
+            "pager_evictions_total",
+            "Pages evicted to stay under the cache budget.",
+            &[],
+            self.evictions,
+        );
+        series.put_gauge(
+            "pager_resident_bytes",
+            "Payload bytes resident in the buffer pool.",
+            &[],
+            self.resident_bytes as f64,
+        );
+        series.put_gauge(
+            "pager_resident_pages",
+            "Pages resident in the buffer pool.",
+            &[],
+            self.resident_pages as f64,
+        );
+        series.put_gauge(
+            "pager_capacity_bytes",
+            "Configured cache budget in bytes (0 = unbounded or no pager).",
+            &[],
+            self.capacity_bytes.unwrap_or(0) as f64,
+        );
     }
 }
 

@@ -40,7 +40,7 @@ use std::time::Duration;
 
 use traj_geo::BoundingBox;
 use traj_model::json::JsonValue;
-use traj_obs::Counter;
+use traj_obs::{Counter, Snapshot};
 use traj_pipeline::DeviceId;
 
 use crate::block::BlockMeta;
@@ -104,6 +104,65 @@ pub struct GeofenceStats {
     pub ring_evicted: u64,
     /// Alerts dropped from full subscription queues.
     pub subscriber_dropped: u64,
+    /// Failed writes of the persisted fence state.
+    pub persist_errors: u64,
+}
+
+impl GeofenceStats {
+    /// Puts the registry's `geofence_*` series into a metrics snapshot.
+    /// The persist-error counter appears from the first failure on.
+    pub fn export(&self, series: &mut Snapshot) {
+        series.put_gauge(
+            "geofence_fences",
+            "Standing geofence queries registered on the served store.",
+            &[],
+            self.fences as f64,
+        );
+        series.put_gauge(
+            "geofence_subscriptions",
+            "Live geofence alert subscriptions.",
+            &[],
+            self.subscriptions as f64,
+        );
+        series.put_gauge(
+            "geofence_ring_evicted",
+            "Alerts evicted from this store's polling ring.",
+            &[],
+            self.ring_evicted as f64,
+        );
+        series.put_counter(
+            "geofence_alerts_total",
+            "geofence alerts fired",
+            &[],
+            self.alerts_fired,
+        );
+        series.put_counter(
+            "geofence_blocks_checked_total",
+            "fence-block metadata evaluations",
+            &[],
+            self.blocks_checked,
+        );
+        series.put_counter(
+            "geofence_blocks_skipped_total",
+            "fence-block evaluations dismissed by metadata",
+            &[],
+            self.blocks_skipped,
+        );
+        series.put_counter(
+            "geofence_subscriber_dropped_total",
+            "alerts dropped from full subscription queues",
+            &[],
+            self.subscriber_dropped,
+        );
+        if self.persist_errors > 0 {
+            series.put_counter(
+                "geofence_persist_errors_total",
+                "failed geofence state writes",
+                &[],
+                self.persist_errors,
+            );
+        }
+    }
 }
 
 /// The result of one [`GeofenceRegistry::alerts_after`] poll.
@@ -185,6 +244,7 @@ pub struct GeofenceRegistry {
     blocks_checked: Counter,
     blocks_skipped: Counter,
     subscriber_dropped: Counter,
+    persist_errors: Counter,
 }
 
 impl Default for GeofenceRegistry {
@@ -195,8 +255,7 @@ impl Default for GeofenceRegistry {
 
 impl GeofenceRegistry {
     /// An empty registry with no persistence.  The stats counters are
-    /// per-registry (a reopened store starts from zero); the global
-    /// metrics registry is additionally bumped on every evaluation.
+    /// per-registry: a reopened store starts from zero.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -209,29 +268,8 @@ impl GeofenceRegistry {
             blocks_checked: Counter::new(),
             blocks_skipped: Counter::new(),
             subscriber_dropped: Counter::new(),
+            persist_errors: Counter::new(),
         }
-    }
-
-    fn global_counter(name: &str, help: &str) -> Counter {
-        traj_obs::Registry::global().counter(name, help, &[])
-    }
-
-    /// Registers the geofence counters in the global registry at zero so
-    /// the `/metrics` schema is stable before any registry exists.
-    pub fn ensure_metrics_registered() {
-        Self::global_counter("geofence_alerts_total", "geofence alerts fired");
-        Self::global_counter(
-            "geofence_blocks_checked_total",
-            "fence-block metadata evaluations",
-        );
-        Self::global_counter(
-            "geofence_blocks_skipped_total",
-            "fence-block evaluations dismissed by metadata",
-        );
-        Self::global_counter(
-            "geofence_subscriber_dropped_total",
-            "alerts dropped from full subscription queues",
-        );
     }
 
     /// Registers a standing fence and returns its id.  Alerts fire for
@@ -361,6 +399,7 @@ impl GeofenceRegistry {
                 .count(),
             ring_evicted: inner.ring_evicted,
             subscriber_dropped: self.subscriber_dropped.get(),
+            persist_errors: self.persist_errors.get(),
         }
     }
 
@@ -442,20 +481,6 @@ impl GeofenceRegistry {
         inner.subscribers.retain(|s| Arc::strong_count(s) > 1);
         self.persist(&inner);
         drop(inner);
-        // Mirror into the process-wide registry for `/metrics`.
-        if checked > 0 {
-            Self::global_counter("geofence_alerts_total", "geofence alerts fired").add(fired);
-            Self::global_counter(
-                "geofence_blocks_checked_total",
-                "fence-block metadata evaluations",
-            )
-            .add(checked);
-            Self::global_counter(
-                "geofence_blocks_skipped_total",
-                "fence-block evaluations dismissed by metadata",
-            )
-            .add(skipped);
-        }
         span.attr("alerts", fired);
     }
 
@@ -605,13 +630,7 @@ impl GeofenceRegistry {
         let write =
             std::fs::write(&tmp, doc.to_string_pretty()).and_then(|()| std::fs::rename(&tmp, path));
         if write.is_err() {
-            traj_obs::Registry::global()
-                .counter(
-                    "geofence_persist_errors_total",
-                    "failed geofence state writes",
-                    &[],
-                )
-                .inc();
+            self.persist_errors.inc();
         }
     }
 }

@@ -70,7 +70,6 @@
 //! smaller.
 
 use std::ops::Deref;
-use std::sync::OnceLock;
 
 use traj_geo::{BoundingBox, Point};
 use traj_model::codec::DecodeArena;
@@ -143,41 +142,44 @@ pub struct KnnResult {
     pub stats: KnnStats,
 }
 
-/// The kNN counters of the global registry: queries, devices pruned,
-/// blocks decoded.  Resolved once, so recording a query takes no registry
-/// lock and allocates nothing.
-fn global_counters() -> &'static [traj_obs::Counter; 3] {
-    static COUNTERS: OnceLock<[traj_obs::Counter; 3]> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let registry = traj_obs::Registry::global();
-        [
-            registry.counter("knn_queries_total", "kNN queries executed", &[]),
-            registry.counter(
-                "knn_devices_pruned_total",
-                "devices dismissed on the metadata lower bound alone",
-                &[],
-            ),
-            registry.counter(
-                "knn_blocks_decoded_total",
-                "block payloads decoded by kNN queries",
-                &[],
-            ),
-        ]
-    })
+/// Running totals over the kNN queries one store answered: recording a
+/// query is three relaxed atomic adds.
+#[derive(Debug, Default)]
+pub struct KnnCounters {
+    queries: traj_obs::Counter,
+    devices_pruned: traj_obs::Counter,
+    blocks_decoded: traj_obs::Counter,
 }
 
-/// Registers the kNN counters in the global registry at zero, so the
-/// `/metrics` schema is stable before the first query runs.
-pub fn ensure_metrics_registered() {
-    global_counters();
-}
+impl KnnCounters {
+    /// Adds one query's accounting.
+    pub(crate) fn record(&self, stats: &KnnStats) {
+        self.queries.inc();
+        self.devices_pruned.add(stats.devices_pruned as u64);
+        self.blocks_decoded.add(stats.blocks_decoded as u64);
+    }
 
-/// Records one query's accounting into the global registry.
-pub(crate) fn record_global(stats: &KnnStats) {
-    let [queries, devices_pruned, blocks_decoded] = global_counters();
-    queries.inc();
-    devices_pruned.add(stats.devices_pruned as u64);
-    blocks_decoded.add(stats.blocks_decoded as u64);
+    /// Puts the `knn_*` series into a metrics snapshot.
+    pub fn export(&self, series: &mut traj_obs::Snapshot) {
+        series.put_counter(
+            "knn_queries_total",
+            "kNN queries executed",
+            &[],
+            self.queries.get(),
+        );
+        series.put_counter(
+            "knn_devices_pruned_total",
+            "devices dismissed on the metadata lower bound alone",
+            &[],
+            self.devices_pruned.get(),
+        );
+        series.put_counter(
+            "knn_blocks_decoded_total",
+            "block payloads decoded by kNN queries",
+            &[],
+            self.blocks_decoded.get(),
+        );
+    }
 }
 
 /// Euclidean distance from `q` to the closed axis-aligned box (zero

@@ -22,4 +22,4 @@ pub mod knn;
 pub use geofence::{
     GeofenceAlert, GeofenceRegistry, GeofenceSpec, GeofenceStats, PollResult, Subscription,
 };
-pub use knn::{KnnNeighbor, KnnResult, KnnStats};
+pub use knn::{KnnCounters, KnnNeighbor, KnnResult, KnnStats};

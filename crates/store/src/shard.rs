@@ -55,7 +55,7 @@ use crate::block::BlockMeta;
 use crate::pager::{ArenaPool, Pager};
 use crate::persist::RecoveryReport;
 use crate::query::geofence::GeofenceRegistry;
-use crate::query::knn::{self, KnnResult};
+use crate::query::knn::{self, KnnCounters, KnnResult};
 use crate::store::{
     MemoryStats, QueryStats, StoreConfig, StoreError, StoreStats, TimeSlice, TrajStore, WindowQuery,
 };
@@ -89,6 +89,8 @@ pub struct ShardedStore {
     geofences: Arc<GeofenceRegistry>,
     /// Decode arenas of fleet-wide queries that span shards (kNN).
     arenas: ArenaPool,
+    /// Totals over the kNN queries this store answered.
+    knn: KnnCounters,
 }
 
 /// What [`ShardedStore::open_durable`] recovered: the main-file salvage
@@ -135,6 +137,7 @@ impl ShardedStore {
             pager: None,
             geofences: Arc::new(GeofenceRegistry::new()),
             arenas: ArenaPool::default(),
+            knn: KnnCounters::default(),
         }
     }
 
@@ -343,13 +346,6 @@ impl ShardedStore {
         self.wal.as_ref().map(|wal| wal.stats())
     }
 
-    /// The WAL's sync-latency histogram (`None` without a log) — the
-    /// distribution behind [`WalStats::sync_p50_us`], exposable through
-    /// a metrics [`traj_obs::Snapshot`] and mergeable across stores.
-    pub fn wal_sync_latency(&self) -> Option<traj_obs::HistogramSnapshot> {
-        self.wal.as_ref().map(|wal| wal.sync_latency_snapshot())
-    }
-
     /// Per-shard block counts, indexed by shard — the balance view a
     /// shard-labelled metrics series reports.
     pub fn per_shard_blocks(&self) -> Vec<usize> {
@@ -379,7 +375,6 @@ impl ShardedStore {
             stats.segments += s.segments;
             stats.points += s.points;
             stats.stored_bytes += s.stored_bytes;
-            stats.resident_bytes += s.resident_bytes;
             guard.append_log_records(&mut log)?;
         }
         crate::persist::write_store_files(dir, &self.config, &stats, &log)
@@ -498,7 +493,6 @@ impl ShardedStore {
         let mut total = MemoryStats::default();
         for shard in &self.shards {
             let m = shard.read().expect("store lock poisoned").memory_stats();
-            total.resident_payload_bytes += m.resident_payload_bytes;
             total.index_bytes += m.index_bytes;
             total.arena_creates += m.arena_creates;
             total.arena_reuses += m.arena_reuses;
@@ -586,8 +580,13 @@ impl ShardedStore {
             &mut arena,
         );
         self.arenas.checkin(arena);
-        knn::record_global(&result.stats);
+        self.knn.record(&result.stats);
         result
+    }
+
+    /// Totals over the kNN queries [`ShardedStore::knn`] answered.
+    pub fn knn_counters(&self) -> &KnnCounters {
+        &self.knn
     }
 
     /// Fleet-wide [`TrajStore::knn_bruteforce`] — the decoded reference

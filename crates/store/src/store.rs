@@ -6,6 +6,7 @@ use std::sync::Arc;
 use traj_geo::{BoundingBox, Point};
 use traj_model::codec::{BlockFormat, CodecError, DecodeArena, SegmentCodec};
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
+use traj_obs::Snapshot;
 use traj_pipeline::DeviceId;
 
 use crate::block::{expanded_intersects, write_record_header, Block, BlockMeta, META_RECORD_BYTES};
@@ -251,15 +252,53 @@ impl StoreStats {
         }
         raw / self.stored_bytes as f64
     }
+
+    /// Puts the store's `store_*` size gauges into a metrics snapshot.
+    pub fn export(&self, series: &mut Snapshot) {
+        series.put_gauge(
+            "store_devices",
+            "Device streams stored.",
+            &[],
+            self.devices as f64,
+        );
+        series.put_gauge(
+            "store_blocks",
+            "Sealed blocks stored.",
+            &[],
+            self.blocks as f64,
+        );
+        series.put_gauge(
+            "store_segments",
+            "Simplified segments stored.",
+            &[],
+            self.segments as f64,
+        );
+        series.put_gauge(
+            "store_points",
+            "Original trajectory points the store is responsible for.",
+            &[],
+            self.points as f64,
+        );
+        series.put_gauge(
+            "store_stored_bytes",
+            "Stored bytes: payloads plus nominal per-block metadata.",
+            &[],
+            self.stored_bytes as f64,
+        );
+        series.put_gauge(
+            "store_resident_payload_bytes",
+            "Payload bytes held inline (not yet checkpointed to disk).",
+            &[],
+            self.resident_bytes as f64,
+        );
+    }
 }
 
 /// Exact memory accounting of a store, beyond the logical counters of
-/// [`StoreStats`]: where the bytes actually are (inline, cached, index)
-/// and how well the reuse machinery is doing.
+/// [`StoreStats`] (which hold the inline payload bytes): where the other
+/// bytes are (cached, index) and how well the reuse machinery is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MemoryStats {
-    /// Payload bytes held inline (same as [`StoreStats::resident_bytes`]).
-    pub resident_payload_bytes: usize,
     /// Approximate heap footprint of the grid index.
     pub index_bytes: usize,
     /// Decode arenas allocated by queries.
@@ -269,6 +308,32 @@ pub struct MemoryStats {
     /// Buffer-pool counters (`None` for a purely in-memory store that has
     /// no disk-backed payloads to page).
     pub cache: Option<CacheStats>,
+}
+
+impl MemoryStats {
+    /// Puts the index and arena series, and the buffer pool's (zeros
+    /// without a pool), into a metrics snapshot.
+    pub fn export(&self, series: &mut Snapshot) {
+        series.put_gauge(
+            "store_index_bytes",
+            "Approximate heap footprint of the grid index.",
+            &[],
+            self.index_bytes as f64,
+        );
+        series.put_counter(
+            "store_arena_creates_total",
+            "Decode arenas allocated by queries.",
+            &[],
+            self.arena_creates,
+        );
+        series.put_counter(
+            "store_arena_reuses_total",
+            "Queries that reused a pooled decode arena instead of allocating.",
+            &[],
+            self.arena_reuses,
+        );
+        self.cache.unwrap_or_default().export(series);
+    }
 }
 
 /// Where a stored block's payload bytes live.
@@ -458,13 +523,12 @@ impl TrajStore {
         }
     }
 
-    /// Exact memory accounting: inline payload bytes, index footprint,
+    /// Exact memory accounting: index footprint,
     /// decode-arena reuse and (for lazily opened stores) buffer-pool
     /// counters.
     pub fn memory_stats(&self) -> MemoryStats {
         let (arena_creates, arena_reuses) = self.arenas.counters();
         MemoryStats {
-            resident_payload_bytes: self.resident_payload_bytes,
             index_bytes: self.index.approx_bytes(),
             arena_creates,
             arena_reuses,

@@ -52,7 +52,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use traj_model::codec::{get_varint, put_varint, ByteReader};
-use traj_obs::{Histogram, HistogramSnapshot};
+use traj_obs::{Histogram, HistogramSnapshot, Snapshot};
 
 use crate::block::Block;
 use crate::store::{StoreError, TrajStore};
@@ -450,7 +450,7 @@ struct SyncShared {
 }
 
 /// Point-in-time WAL counters, surfaced through `/stats` and the bench.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WalStats {
     /// Durability mode name (`none` / `wal-async` / `wal-group-commit`).
     pub mode: &'static str,
@@ -460,15 +460,12 @@ pub struct WalStats {
     pub ingests_appended: u64,
     /// Records appended since open (3 + blocks per ingest).
     pub records_appended: u64,
-    /// Group-commit `sync_all` calls since open.
+    /// Group-commit `sync_all` calls since open: the count of
+    /// `sync_latency`.
     pub syncs: u64,
-    /// Median sync latency in microseconds (0 with no syncs), extracted
-    /// from the shared power-of-two-bucket histogram — the reported
-    /// value is the upper bound of the bucket holding the median.
-    pub sync_p50_us: u64,
-    /// 99th-percentile sync latency, microseconds, at the same bucket
-    /// resolution.
-    pub sync_p99_us: u64,
+    /// The sync latencies in microseconds, in power-of-two buckets
+    /// (quantiles come back as bucket upper bounds).
+    pub sync_latency: HistogramSnapshot,
     /// Records replayed from the WAL when the store was opened.
     pub records_replayed: usize,
     /// Ingests replayed from the WAL when the store was opened.
@@ -992,8 +989,7 @@ impl Wal {
             ingests_appended: self.ingests_appended.load(Ordering::Relaxed),
             records_appended: self.records_appended.load(Ordering::Relaxed),
             syncs: latency.count(),
-            sync_p50_us: latency.quantile(0.5),
-            sync_p99_us: latency.quantile(0.99),
+            sync_latency: latency,
             records_replayed: self.records_replayed,
             ingests_replayed: self.ingests_replayed,
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
@@ -1004,11 +1000,55 @@ impl Wal {
     pub fn mode(&self) -> DurabilityMode {
         self.mode
     }
+}
 
-    /// The sync-latency distribution, mergeable with other histograms
-    /// and renderable through a metrics [`traj_obs::Snapshot`].
-    pub fn sync_latency_snapshot(&self) -> HistogramSnapshot {
-        self.sync.latency.snapshot()
+impl WalStats {
+    /// Puts the log's `wal_*` series, labelled by its mode, into a metrics
+    /// snapshot.
+    pub fn export(&self, series: &mut Snapshot) {
+        let labels = [("mode", self.mode)];
+        series.put_counter(
+            "wal_appends_total",
+            "Ingest batches appended to the write-ahead log.",
+            &labels,
+            self.ingests_appended,
+        );
+        series.put_counter(
+            "wal_records_total",
+            "Records appended to the write-ahead log.",
+            &labels,
+            self.records_appended,
+        );
+        series.put_counter(
+            "wal_syncs_total",
+            "Group-commit fsync batches completed.",
+            &labels,
+            self.syncs,
+        );
+        series.put_counter(
+            "wal_checkpoints_total",
+            "Checkpoints folding the log into the base store.",
+            &labels,
+            self.checkpoints,
+        );
+        series.put_gauge(
+            "wal_bytes",
+            "Bytes in the live write-ahead log segment.",
+            &labels,
+            self.wal_bytes as f64,
+        );
+        series.put_gauge(
+            "wal_records_replayed",
+            "Records the last recovery replayed.",
+            &labels,
+            self.records_replayed as f64,
+        );
+        series.put_histogram(
+            "wal_sync_duration_us",
+            "Group-commit fsync latency in microseconds.",
+            &labels,
+            self.sync_latency.clone(),
+        );
     }
 }
 

@@ -26,11 +26,12 @@ cargo test --release -q -p traj-store --test fault_injection
 cargo test --release -q -p traj-store --test concurrent_stress
 cargo test --release -q -p traj-store --test golden_e2e
 
-echo "==> query engine suites: kNN vs brute force, geofence exactly-once, golden fixtures, window coverage (release)"
+echo "==> query engine suites: kNN vs brute force, geofence exactly-once, golden fixtures, window coverage, query and metrics endpoints (release)"
 cargo test --release -q -p traj-store --test query_engine
 cargo test --release -q -p traj-store --test query_golden
 cargo test --release -q -p traj-store --test window_coverage
 cargo test --release -q -p traj-service --test query_endpoints
+cargo test --release -q -p traj-service --test metrics_endpoint
 
 echo "==> allocation budgets per request kind, exact counts and the fitting-function properties (release; the workspace tests run them in debug)"
 cargo test --release -q --test alloc_budget
