@@ -394,7 +394,8 @@ impl Digits {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, quoted and escaped.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -16,18 +16,24 @@
 //! | `GET /time_slice` | `device`, `from`, `to` | segments overlapping the time range + skip stats |
 //! | `GET /window` | `min_x`, `min_y`, `max_x`, `max_y`, optional `from`/`to` | per-device matches + skip stats |
 //! | `GET /position_at` | `device`, `t` | interpolated position or `null` |
+//! | `GET /knn` | `x`, `y` or `points=x1,y1;x2,y2;…`, optional `k` | the `k` nearest devices + prune stats |
+//! | `GET /geofences` | — | registered standing fences + registry accounting |
+//! | `GET /geofence_add` | `min_x`, `min_y`, `max_x`, `max_y`, optional `name`, `from`/`to` | the new fence's id |
+//! | `GET /subscribe` | optional `cursor`, `limit`, `fence` | fence alerts after the cursor + the next cursor |
 //! | `GET /stats` | — | store totals + server counters |
+//! | `GET /metrics` | — | every series as Prometheus text |
+//! | `GET /trace` | `limit` (optional) | the slow-query log's span trees, newest first |
 //! | `GET /shutdown` | — | acknowledges, then stops the server gracefully |
 //!
-//! Every response is JSON, carries the handler's `latency_us` (from the
-//! request's first byte: parsing, the store call and body encoding), and
-//! query endpoints
-//! report how many blocks the data-skipping metadata pruned.  The query
-//! endpoints write their answer straight into the response buffer; the
+//! Every response but `/metrics` is JSON and carries the handler's
+//! `latency_us` (from the request's first byte: parsing, the store call
+//! and body encoding), and query endpoints
+//! report how many blocks the data-skipping metadata pruned.  Every
+//! endpoint writes its answer straight into the response buffer; the
 //! bytes are those a [`traj_model::json::JsonValue`] tree would render.
-//! Device ids are emitted as JSON numbers, so like every JSON consumer
-//! the API round-trips them exactly only up to 2⁵³ — fleets using hashed
-//! 64-bit ids above that need a string-id format change first.
+//! Device ids, fence ids, sequence numbers, cursors and counts are
+//! written as exact integers, above 2⁵³ too.  A client that parses JSON
+//! numbers as doubles still loses ids above 2⁵³.
 //! Connections are persistent HTTP/1.1 (`Content-Length`-framed, closed
 //! on `Connection: close`, HTTP/1.0, shutdown or an idle `io_timeout`).
 //! Each open connection has its own thread, which holds one of `workers`

@@ -10,7 +10,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use traj_geo::{BoundingBox, Point};
-use traj_model::json::{write_number, write_u64, JsonValue};
+use traj_model::json::{write_escaped, write_number, write_u64};
 use traj_model::SimplifiedSegment;
 use traj_obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, Snapshot, SpanRecord, Trace,
@@ -478,28 +478,16 @@ fn accept_next(shared: &Arc<Shared>, listener: &TcpListener) -> Option<Admitted>
 /// A response body: JSON for every endpoint but `/metrics`, which serves
 /// plain-text Prometheus exposition.
 enum Body {
-    /// A JSON object rendered into the response buffer and left open:
+    /// A JSON object written into the response buffer and left open:
     /// [`close_with_latency`] appends the last member and the brace.
     Json(String),
     Text(String),
 }
 
-/// Renders a tree-built JSON object into a response buffer, left open
-/// like the streamed bodies.
-fn open_object(value: &JsonValue) -> String {
-    let mut out = value.to_string();
-    let closing = out.pop();
-    assert_eq!(closing, Some('}'), "JSON response bodies are objects");
-    out
-}
-
 /// Closes an open JSON body with the handler latency, so clients see the
 /// server's cost separate from network time.
 fn close_with_latency(body: &mut String, latency_us: u64) {
-    if !body.ends_with('{') {
-        body.push(',');
-    }
-    body.push_str("\"latency_us\":");
+    write_key(body, "latency_us");
     write_u64(body, latency_us);
     body.push('}');
 }
@@ -550,10 +538,7 @@ fn serve_connection(connection: &Admitted) {
             // The rest of a rejected request is unknown: answer and close.
             Err(e) => (
                 e.status(),
-                Body::Json(open_object(&JsonValue::object([(
-                    "error",
-                    JsonValue::from(e.to_string()),
-                )]))),
+                Body::Json(error_body(&e.to_string())),
                 shared.latency_of("other"),
                 false,
             ),
@@ -595,34 +580,21 @@ fn traced_respond(shared: &Shared, request: &Request) -> (u16, Body) {
     answer
 }
 
-/// A handler's failure: the status and the JSON error object to send.
-type Rejection = (u16, JsonValue);
+/// A handler's failure: the status and the message of its error body.
+type Rejection = (u16, String);
 
-/// Routes one parsed request.  The query endpoints stream their answer
-/// straight into the response buffer; the rest build a [`JsonValue`]
-/// tree.  Either way the caller closes the body with the latency field
-/// and writes it.
+/// Routes one parsed request.  Every JSON handler writes its answer
+/// straight into the response buffer and leaves the object open, and so
+/// does a rejection's error body; the caller closes it with the latency
+/// member and writes it.
 fn respond(shared: &Shared, request: &Request) -> (u16, Body) {
     let store = shared.store.as_ref();
-    let streamed = match request.path.as_str() {
+    let answer = match request.path.as_str() {
         "/metrics" => return (200, Body::Text(scrape(shared).series.render_prometheus())),
         "/time_slice" => handle_time_slice(store, shared, request),
         "/window" => handle_window(store, shared, request),
         "/position_at" => handle_position_at(store, request),
         "/knn" => handle_knn(store, request),
-        _ => Err(respond_tree(shared, request)),
-    };
-    match streamed {
-        Ok(body) => (200, Body::Json(body)),
-        Err((status, body)) => (status, Body::Json(open_object(&body))),
-    }
-}
-
-/// The endpoints whose answers are built as a [`JsonValue`] tree: small,
-/// or off the query path.
-fn respond_tree(shared: &Shared, request: &Request) -> (u16, JsonValue) {
-    let store = shared.store.as_ref();
-    match request.path.as_str() {
         "/devices" => handle_devices(store, request),
         "/geofences" => handle_geofences(store),
         "/geofence_add" => handle_geofence_add(store, request),
@@ -631,23 +603,25 @@ fn respond_tree(shared: &Shared, request: &Request) -> (u16, JsonValue) {
         "/trace" => handle_trace(request),
         "/shutdown" if shared.config.enable_shutdown_endpoint => {
             shared.signal_shutdown();
-            (200, JsonValue::object([("ok", JsonValue::from(true))]))
+            Ok("{\"ok\":true".to_string())
         }
-        _ => (
-            404,
-            JsonValue::object([(
-                "error",
-                JsonValue::from(format!("no such endpoint: {}", request.path)),
-            )]),
-        ),
+        _ => Err((404, format!("no such endpoint: {}", request.path))),
+    };
+    match answer {
+        Ok(body) => (200, Body::Json(body)),
+        Err((status, message)) => (status, Body::Json(error_body(&message))),
     }
 }
 
+/// The error body `{"error":"…"`, left open like every other body.
+fn error_body(message: &str) -> String {
+    let mut out = String::from("{\"error\":");
+    write_escaped(&mut out, message);
+    out
+}
+
 fn bad_request(msg: impl Into<String>) -> Rejection {
-    (
-        400,
-        JsonValue::object([("error", JsonValue::from(msg.into()))]),
-    )
+    (400, msg.into())
 }
 
 /// Parses a required finite f64 parameter.
@@ -672,6 +646,17 @@ fn require_device(request: &Request) -> Result<u64, Rejection> {
         .map_err(|_| bad_request(format!("parameter 'device' is not a device id: '{raw}'")))
 }
 
+/// The box of the required `min_x`, `min_y`, `max_x` and `max_y`, as
+/// given.
+fn require_box(request: &Request) -> Result<BoundingBox, Rejection> {
+    Ok(BoundingBox {
+        min_x: require_f64(request, "min_x")?,
+        min_y: require_f64(request, "min_y")?,
+        max_x: require_f64(request, "max_x")?,
+        max_y: require_f64(request, "max_y")?,
+    })
+}
+
 /// The optional `from`/`to` pair (both or neither).
 fn optional_time_range(request: &Request) -> Result<Option<(f64, f64)>, Rejection> {
     match (request.param("from"), request.param("to")) {
@@ -683,6 +668,17 @@ fn optional_time_range(request: &Request) -> Result<Option<(f64, f64)>, Rejectio
         }
         _ => Err(bad_request("'from' and 'to' must be given together")),
     }
+}
+
+/// The optional count parameter `key`.
+fn optional_count(request: &Request, key: &str) -> Result<Option<usize>, Rejection> {
+    request
+        .param(key)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| bad_request(format!("parameter '{key}' is not a count: '{raw}'")))
+        })
+        .transpose()
 }
 
 /// A streamed member's value: a measured number, or an exact integer
@@ -700,25 +696,26 @@ impl From<usize> for Num {
     }
 }
 
+/// Appends `"key":` to the object open at the end of `out`, after a
+/// comma unless it is the object's first member.  Keys are static
+/// identifiers and need no escaping.
+fn write_key(out: &mut String, key: &str) {
+    out.push_str(if out.ends_with('{') { "\"" } else { ",\"" });
+    out.push_str(key);
+    out.push_str("\":");
+}
+
 /// Appends `{"k1":v1,…` — an object of numbers, left open for more
-/// members.  Keys are static identifiers and need no escaping.
+/// members.
 fn write_number_members(out: &mut String, members: &[(&str, Num)]) {
-    for (i, (key, value)) in members.iter().enumerate() {
-        out.push_str(if i == 0 { "{\"" } else { ",\"" });
-        out.push_str(key);
-        out.push_str("\":");
+    out.push('{');
+    for (key, value) in members {
+        write_key(out, key);
         match *value {
             Num::Float(v) => write_number(out, v),
             Num::Int(v) => write_u64(out, v),
         }
     }
-}
-
-/// Appends `,"key":` after an open object's earlier members.
-fn write_key(out: &mut String, key: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
 }
 
 /// Appends `[item,…]`, each item written by `write_item`.
@@ -779,27 +776,15 @@ fn record_query_stats(shared: &Shared, stats: &QueryStats) {
     shared.index_candidates.add(stats.index_candidates as u64);
 }
 
-fn handle_devices(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
+fn handle_devices(store: &ShardedStore, request: &Request) -> Result<String, Rejection> {
     let devices = store.devices();
-    let limit = match request.param("limit") {
-        None => devices.len(),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return bad_request(format!("parameter 'limit' is not a count: '{raw}'")),
-        },
-    };
-    let listed: Vec<JsonValue> = devices
-        .iter()
-        .take(limit)
-        .map(|d| JsonValue::from(*d as f64))
-        .collect();
-    (
-        200,
-        JsonValue::object([
-            ("count", JsonValue::from(devices.len())),
-            ("devices", JsonValue::Array(listed)),
-        ]),
-    )
+    let limit = optional_count(request, "limit")?.unwrap_or(usize::MAX);
+    let mut out = response_buffer(0);
+    write_number_members(&mut out, &[("count", devices.len().into())]);
+    write_key(&mut out, "devices");
+    let listed = &devices[..limit.min(devices.len())];
+    write_array(&mut out, listed, |out, d| write_u64(out, *d));
+    Ok(out)
 }
 
 fn handle_time_slice(
@@ -833,15 +818,12 @@ fn handle_window(
     shared: &Shared,
     request: &Request,
 ) -> Result<String, Rejection> {
-    let mut coords = [0.0f64; 4];
-    for (slot, key) in coords.iter_mut().zip(["min_x", "min_y", "max_x", "max_y"]) {
-        *slot = require_f64(request, key)?;
-    }
+    let given = require_box(request)?;
     let window = BoundingBox {
-        min_x: coords[0].min(coords[2]),
-        min_y: coords[1].min(coords[3]),
-        max_x: coords[0].max(coords[2]),
-        max_y: coords[1].max(coords[3]),
+        min_x: given.min_x.min(given.max_x),
+        min_y: given.min_y.min(given.max_y),
+        max_x: given.min_x.max(given.max_x),
+        max_y: given.min_y.max(given.max_y),
     };
     let time = optional_time_range(request)?;
     let q = store.window_query(&window, time);
@@ -976,116 +958,105 @@ fn handle_knn(store: &ShardedStore, request: &Request) -> Result<String, Rejecti
 
 /// `GET /geofences`: the registered standing queries and the registry's
 /// accounting.
-fn handle_geofences(store: &ShardedStore) -> (u16, JsonValue) {
+fn handle_geofences(store: &ShardedStore) -> Result<String, Rejection> {
     let fences = store.geofences();
-    let listed: Vec<JsonValue> = fences
-        .fences()
-        .iter()
-        .map(|f| {
-            let mut pairs = vec![
-                ("id".to_string(), JsonValue::from(f.id as f64)),
-                ("name".to_string(), JsonValue::from(f.name.as_str())),
-                ("min_x".to_string(), JsonValue::from(f.region.min_x)),
-                ("min_y".to_string(), JsonValue::from(f.region.min_y)),
-                ("max_x".to_string(), JsonValue::from(f.region.max_x)),
-                ("max_y".to_string(), JsonValue::from(f.region.max_y)),
-            ];
-            if let Some((t0, t1)) = f.time {
-                pairs.push(("from".to_string(), JsonValue::from(t0)));
-                pairs.push(("to".to_string(), JsonValue::from(t1)));
-            }
-            JsonValue::Object(pairs)
-        })
-        .collect();
+    let mut out = response_buffer(0);
+    out.push_str("{\"fences\":");
+    write_array(&mut out, &fences.fences(), |out, f| {
+        write_number_members(out, &[("id", Num::Int(f.id))]);
+        write_key(out, "name");
+        write_escaped(out, &f.name);
+        write_key(out, "min_x");
+        write_number(out, f.region.min_x);
+        write_key(out, "min_y");
+        write_number(out, f.region.min_y);
+        write_key(out, "max_x");
+        write_number(out, f.region.max_x);
+        write_key(out, "max_y");
+        write_number(out, f.region.max_y);
+        if let Some((t0, t1)) = f.time {
+            write_key(out, "from");
+            write_number(out, t0);
+            write_key(out, "to");
+            write_number(out, t1);
+        }
+        out.push('}');
+    });
     let mut scrape = Scrape::default();
     fences.stats().export(&mut scrape.series);
-    (
-        200,
-        JsonValue::object([
-            ("fences", JsonValue::Array(listed)),
-            ("stats", scrape.members(GEOFENCE_STATS)),
-        ]),
-    )
+    write_key(&mut out, "stats");
+    scrape.write_object(&mut out, GEOFENCE_STATS);
+    Ok(out)
 }
 
 /// `GET /geofence_add?name=…&min_x=…&min_y=…&max_x=…&max_y=…[&from=…&to=…]`:
 /// registers a standing fence; alerts fire for blocks sealed from now on.
-fn handle_geofence_add(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
+fn handle_geofence_add(store: &ShardedStore, request: &Request) -> Result<String, Rejection> {
     let name = request.param("name").unwrap_or("fence");
-    let mut coords = [0.0f64; 4];
-    for (slot, key) in coords.iter_mut().zip(["min_x", "min_y", "max_x", "max_y"]) {
-        *slot = match require_f64(request, key) {
-            Ok(v) => v,
-            Err(e) => return e,
-        };
-    }
-    let region = BoundingBox {
-        min_x: coords[0],
-        min_y: coords[1],
-        max_x: coords[2],
-        max_y: coords[3],
-    };
-    let time = match optional_time_range(request) {
-        Ok(t) => t,
-        Err(e) => return e,
-    };
-    match store.geofences().register(name, region, time) {
-        Ok(id) => (
-            200,
-            JsonValue::object([
-                ("id", JsonValue::from(id as f64)),
-                ("name", JsonValue::from(name)),
-            ]),
-        ),
-        Err(reason) => bad_request(reason),
-    }
+    let region = require_box(request)?;
+    let time = optional_time_range(request)?;
+    let id = store
+        .geofences()
+        .register(name, region, time)
+        .map_err(bad_request)?;
+    let mut out = response_buffer(0);
+    write_number_members(&mut out, &[("id", Num::Int(id))]);
+    write_key(&mut out, "name");
+    write_escaped(&mut out, name);
+    Ok(out)
 }
 
-fn alert_json(a: &GeofenceAlert) -> JsonValue {
-    JsonValue::object([
-        ("seq", JsonValue::from(a.seq as f64)),
-        ("fence_id", JsonValue::from(a.fence_id as f64)),
-        ("fence_name", JsonValue::from(&*a.fence_name)),
-        ("device", JsonValue::from(a.device as f64)),
-        ("block", JsonValue::from(a.block)),
-        ("t_min", JsonValue::from(a.t_min)),
-        ("t_max", JsonValue::from(a.t_max)),
-        ("num_segments", JsonValue::from(a.num_segments)),
-    ])
+/// Appends one geofence alert as a JSON object.
+fn write_alert(out: &mut String, a: &GeofenceAlert) {
+    write_number_members(
+        out,
+        &[("seq", Num::Int(a.seq)), ("fence_id", Num::Int(a.fence_id))],
+    );
+    write_key(out, "fence_name");
+    write_escaped(out, &a.fence_name);
+    write_key(out, "device");
+    write_u64(out, a.device);
+    write_key(out, "block");
+    write_u64(out, a.block as u64);
+    write_key(out, "t_min");
+    write_number(out, a.t_min);
+    write_key(out, "t_max");
+    write_number(out, a.t_max);
+    write_key(out, "num_segments");
+    write_u64(out, a.num_segments as u64);
+    out.push('}');
 }
 
 /// `GET /subscribe?cursor=…[&limit=…][&fence=…]`: cursor-based polling of
 /// the geofence alert stream.  Pass the returned `next_cursor` to the
 /// next poll; a nonzero `missed` means the client fell further behind
 /// than the alert ring holds.
-fn handle_subscribe(store: &ShardedStore, request: &Request) -> (u16, JsonValue) {
-    let cursor = match request.param("cursor").unwrap_or("0").parse::<u64>() {
-        Ok(c) => c,
-        Err(_) => return bad_request("parameter 'cursor' is not a sequence number"),
-    };
+fn handle_subscribe(store: &ShardedStore, request: &Request) -> Result<String, Rejection> {
+    let cursor = request
+        .param("cursor")
+        .unwrap_or("0")
+        .parse::<u64>()
+        .map_err(|_| bad_request("parameter 'cursor' is not a sequence number"))?;
     let limit = match request.param("limit").unwrap_or("100").parse::<usize>() {
         Ok(n) if n >= 1 => n,
-        _ => return bad_request("parameter 'limit' must be a positive count"),
+        _ => return Err(bad_request("parameter 'limit' must be a positive count")),
     };
-    let fence = match request.param("fence") {
-        None => None,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(id) => Some(id),
-            Err(_) => return bad_request(format!("parameter 'fence' is not a fence id: '{raw}'")),
-        },
-    };
+    let fence = request
+        .param("fence")
+        .map(|raw| {
+            raw.parse::<u64>()
+                .map_err(|_| bad_request(format!("parameter 'fence' is not a fence id: '{raw}'")))
+        })
+        .transpose()?;
     let poll = store.geofences().alerts_after(cursor, limit, fence);
-    (
-        200,
-        JsonValue::object([
-            (
-                "alerts",
-                JsonValue::Array(poll.alerts.iter().map(alert_json).collect()),
-            ),
-            ("next_cursor", JsonValue::from(poll.next_cursor as f64)),
-            ("missed", JsonValue::from(poll.missed as f64)),
-        ]),
-    )
+    let mut out = response_buffer(0);
+    out.push_str("{\"alerts\":");
+    write_array(&mut out, &poll.alerts, write_alert);
+    write_key(&mut out, "next_cursor");
+    write_u64(&mut out, poll.next_cursor);
+    write_key(&mut out, "missed");
+    write_u64(&mut out, poll.missed);
+    Ok(out)
 }
 
 /// One read of every subsystem, taken once per `/metrics` or `/stats`
@@ -1104,16 +1075,6 @@ struct Scrape {
 }
 
 impl Scrape {
-    /// A counter or gauge family's value, summed over its label sets (0
-    /// when absent).
-    fn value(&self, name: &str) -> f64 {
-        match self.series.total(name) {
-            Some(Sample::Counter(v)) => v as f64,
-            Some(Sample::Gauge(v)) => v,
-            _ => 0.0,
-        }
-    }
-
     /// A WAL sync-latency quantile, at the histogram's bucket resolution.
     fn sync_quantile(&self, q: f64) -> f64 {
         self.wal.sync_latency.quantile(q) as f64
@@ -1124,18 +1085,35 @@ impl Scrape {
         self.memory.cache.unwrap_or_default()
     }
 
-    /// The `/stats` object of `keys`, read from this scrape.
-    fn members<'k>(&self, keys: impl IntoIterator<Item = &'k (&'k str, Stat)>) -> JsonValue {
-        let value = |stat: &Stat| match stat {
-            Series(name) => JsonValue::from(self.value(name)),
-            Derived(derive) => JsonValue::from(derive(self)),
-            Value(derive) => derive(self),
-            Section(keys) => self.members(*keys),
-        };
-        let members = keys
-            .into_iter()
-            .map(|(key, stat)| (key.to_string(), value(stat)));
-        JsonValue::Object(members.collect())
+    /// Appends the `/stats` members of `keys`, read from this scrape, to
+    /// the object open at the end of `out`.
+    fn write_members<'k>(
+        &self,
+        out: &mut String,
+        keys: impl IntoIterator<Item = &'k (&'k str, Stat)>,
+    ) {
+        for (key, stat) in keys {
+            write_key(out, key);
+            match stat {
+                // A counter or gauge family's value, summed over its
+                // label sets (0 when absent).
+                Series(name) => match self.series.total(name) {
+                    Some(Sample::Counter(v)) => write_u64(out, v),
+                    Some(Sample::Gauge(v)) => write_number(out, v),
+                    _ => out.push('0'),
+                },
+                Derived(derive) => write_number(out, derive(self)),
+                Value(write) => write(self, out),
+                Section(keys) => self.write_object(out, keys),
+            }
+        }
+    }
+
+    /// Appends the `/stats` object of `keys`, read from this scrape.
+    fn write_object(&self, out: &mut String, keys: &[(&str, Stat)]) {
+        out.push('{');
+        self.write_members(out, keys);
+        out.push('}');
     }
 }
 
@@ -1215,8 +1193,8 @@ enum Stat {
     Series(&'static str),
     /// A number worked out from the scrape.
     Derived(fn(&Scrape) -> f64),
-    /// Any other value worked out from the scrape.
-    Value(fn(&Scrape) -> JsonValue),
+    /// Any other value, written from the scrape.
+    Value(fn(&Scrape, &mut String)),
     /// A nested object.
     Section(&'static [(&'static str, Stat)]),
 }
@@ -1265,12 +1243,15 @@ const SERVER_STATS: &[(&str, Stat)] = &[
     ("rejected", Series("service_rejected_total")),
     ("mean_latency_us", Derived(|s| s.server.mean_latency_us())),
     ("skip_ratio", Derived(|s| s.server.skip_ratio())),
-    ("num_shards", Derived(|s| s.num_shards as f64)),
+    (
+        "num_shards",
+        Value(|s, out| write_u64(out, s.num_shards as u64)),
+    ),
     ("uptime_seconds", Series("service_uptime_seconds")),
 ];
 
 const WAL_STATS: &[(&str, Stat)] = &[
-    ("mode", Value(|s| s.wal.mode.into())),
+    ("mode", Value(|s, out| write_escaped(out, s.wal.mode))),
     ("wal_bytes", Series("wal_bytes")),
     ("ingests_appended", Series("wal_appends_total")),
     ("records_appended", Series("wal_records_total")),
@@ -1280,7 +1261,7 @@ const WAL_STATS: &[(&str, Stat)] = &[
     ("records_replayed", Series("wal_records_replayed")),
     (
         "ingests_replayed",
-        Derived(|s| s.wal.ingests_replayed as f64),
+        Value(|s, out| write_u64(out, s.wal.ingests_replayed as u64)),
     ),
     ("checkpoints", Series("wal_checkpoints_total")),
 ];
@@ -1288,10 +1269,9 @@ const WAL_STATS: &[(&str, Stat)] = &[
 const CACHE_STATS: &[(&str, Stat)] = &[
     (
         "capacity_bytes",
-        Value(|s| {
-            s.cache()
-                .capacity_bytes
-                .map_or(JsonValue::Null, JsonValue::from)
+        Value(|s, out| match s.cache().capacity_bytes {
+            Some(bytes) => write_u64(out, bytes as u64),
+            None => out.push_str("null"),
         }),
     ),
     ("resident_bytes", Series("pager_resident_bytes")),
@@ -1317,64 +1297,66 @@ const GEOFENCE_STATS: &[(&str, Stat)] = &[
 ];
 
 /// `GET /stats`: [`STATS`] read from one [`scrape`].
-fn handle_stats(shared: &Shared) -> (u16, JsonValue) {
+fn handle_stats(shared: &Shared) -> Result<String, Rejection> {
     let scrape = scrape(shared);
     let sections = STATS.iter().filter(|(section, _)| match *section {
         "wal" => scrape.wal.mode != DurabilityMode::None.name(),
         "cache" => scrape.memory.cache.is_some(),
         _ => true,
     });
-    (200, scrape.members(sections))
+    let mut out = response_buffer(0);
+    out.push('{');
+    scrape.write_members(&mut out, sections);
+    Ok(out)
 }
 
-fn span_json(s: &SpanRecord) -> JsonValue {
-    JsonValue::object([
-        ("id", JsonValue::from(s.id as f64)),
-        ("parent", JsonValue::from(s.parent as f64)),
-        ("name", JsonValue::from(s.name)),
-        ("start_us", JsonValue::from(s.start_us as f64)),
-        ("dur_us", JsonValue::from(s.dur_us as f64)),
-        (
-            "attrs",
-            JsonValue::Object(
-                s.attrs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), JsonValue::from(v.to_string())))
-                    .collect(),
-            ),
-        ),
-    ])
+/// Appends one span of a kept trace as a JSON object; its attribute
+/// values are text.
+fn write_span(out: &mut String, s: &SpanRecord) {
+    write_number_members(
+        out,
+        &[
+            ("id", Num::Int(s.id.into())),
+            ("parent", Num::Int(s.parent.into())),
+        ],
+    );
+    write_key(out, "name");
+    write_escaped(out, s.name);
+    write_key(out, "start_us");
+    write_u64(out, s.start_us);
+    write_key(out, "dur_us");
+    write_u64(out, s.dur_us);
+    write_key(out, "attrs");
+    out.push('{');
+    for (key, value) in &s.attrs {
+        write_key(out, key);
+        write_escaped(out, &value.to_string());
+    }
+    out.push_str("}}");
 }
 
-fn trace_json(t: &Trace) -> JsonValue {
-    JsonValue::object([
-        ("name", JsonValue::from(t.name.as_str())),
-        ("total_us", JsonValue::from(t.total_us as f64)),
-        ("dropped_spans", JsonValue::from(t.dropped_spans as f64)),
-        (
-            "spans",
-            JsonValue::Array(t.spans.iter().map(span_json).collect()),
-        ),
-    ])
+/// Appends one kept trace as a JSON object.
+fn write_trace(out: &mut String, t: &Trace) {
+    out.push('{');
+    write_key(out, "name");
+    write_escaped(out, &t.name);
+    write_key(out, "total_us");
+    write_u64(out, t.total_us);
+    write_key(out, "dropped_spans");
+    write_u64(out, t.dropped_spans.into());
+    write_key(out, "spans");
+    write_array(out, &t.spans, write_span);
+    out.push('}');
 }
 
 /// `GET /trace`: the slow-query ring buffer, newest first.  `limit` caps
 /// how many traces are returned.
-fn handle_trace(request: &Request) -> (u16, JsonValue) {
-    let limit = match request.param("limit") {
-        None => usize::MAX,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return bad_request(format!("parameter 'limit' is not a count: '{raw}'")),
-        },
-    };
+fn handle_trace(request: &Request) -> Result<String, Rejection> {
+    let limit = optional_count(request, "limit")?.unwrap_or(usize::MAX);
     let traces = traj_obs::slow_log().recent();
-    let listed: Vec<JsonValue> = traces.iter().take(limit).map(trace_json).collect();
-    (
-        200,
-        JsonValue::object([
-            ("count", JsonValue::from(traces.len())),
-            ("traces", JsonValue::Array(listed)),
-        ]),
-    )
+    let mut out = response_buffer(0);
+    write_number_members(&mut out, &[("count", traces.len().into())]);
+    write_key(&mut out, "traces");
+    write_array(&mut out, &traces[..limit.min(traces.len())], write_trace);
+    Ok(out)
 }

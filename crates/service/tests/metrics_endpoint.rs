@@ -408,6 +408,7 @@ const IN_MEMORY_SCHEMA: &str = r#"geofence_alerts_total counter {}
 geofence_blocks_checked_total counter {}
 geofence_blocks_skipped_total counter {}
 geofence_fences gauge {}
+geofence_persist_errors_total counter {}
 geofence_ring_evicted gauge {}
 geofence_subscriber_dropped_total counter {}
 geofence_subscriptions gauge {}
@@ -488,6 +489,7 @@ const DURABLE_SCHEMA: &str = r#"geofence_alerts_total counter {}
 geofence_blocks_checked_total counter {}
 geofence_blocks_skipped_total counter {}
 geofence_fences gauge {}
+geofence_persist_errors_total counter {}
 geofence_ring_evicted gauge {}
 geofence_subscriber_dropped_total counter {}
 geofence_subscriptions gauge {}
@@ -591,6 +593,35 @@ fn samples(body: &str) -> BTreeMap<String, f64> {
             (series.to_string(), value.parse().unwrap())
         })
         .collect()
+}
+
+/// A failed write of `geofences.json` is counted, and the counter is
+/// exported, at 0, before any failure.  A directory where the write puts
+/// its temporary file makes the write fail, for root as for anyone else.
+#[test]
+fn geofence_persist_errors_are_exported_from_zero() {
+    let dir = scratch("persist");
+    let config = StoreConfig::default()
+        .with_durability(DurabilityMode::WalGroupCommit(Duration::from_millis(1)));
+    let (store, _) = ShardedStore::open_durable(&dir, 4, config).unwrap();
+    std::fs::create_dir(dir.join("geofences.json.tmp")).unwrap();
+    let server = Server::start(Arc::new(store), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let persist_errors = || {
+        let (status, body) = client::http_get(addr, "/metrics").unwrap();
+        assert_eq!(status, 200);
+        samples(&body)["geofence_persist_errors_total"]
+    };
+    assert_eq!(persist_errors(), 0.0);
+    let (status, _) = client::http_get(
+        addr,
+        "/geofence_add?name=west&min_x=-50&min_y=-50&max_x=150&max_y=50",
+    )
+    .unwrap();
+    assert_eq!(status, 200, "a failed write does not fail the registration");
+    assert_eq!(persist_errors(), 1.0);
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Two servers in one process report each on its own store: a kNN query

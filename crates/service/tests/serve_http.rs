@@ -864,3 +864,350 @@ fn a_connection_the_server_idled_out_is_replaced_transparently() {
     assert_eq!(status, 200);
     assert_eq!(server.stop().requests, 2);
 }
+
+/// `body` with the value after each `"key":` of `keys`, and after
+/// `"latency_us":`, replaced by `#`: the timings, and the counts of the
+/// process-wide slow log, that change from run to run.
+fn masked(body: &str, keys: &[&str]) -> String {
+    let mut out = body.to_string();
+    for key in keys.iter().chain(&["latency_us"]) {
+        let pattern = format!("\"{key}\":");
+        let mut from = 0;
+        while let Some(at) = out[from..].find(&pattern) {
+            let start = from + at + pattern.len();
+            let len = out[start..]
+                .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+')))
+                .unwrap_or(out.len() - start);
+            out.replace_range(start..start + len, "#");
+            from = start;
+        }
+    }
+    out
+}
+
+/// `GET path` answered as `status body`, with the values of `volatile`
+/// and the latency masked.
+fn pinned_get(addr: std::net::SocketAddr, path: &str, volatile: &[&str]) -> String {
+    let (status, body) = client::http_get(addr, path).unwrap();
+    format!("{status} {}", masked(&body, volatile))
+}
+
+/// One request sent on a raw socket, answered as `status body` with the
+/// latency masked; the server closes the connection after it.
+fn raw_exchange(addr: std::net::SocketAddr, request: &str) -> String {
+    use std::io::{Read, Write};
+    let (mut stream, _) = raw_connect(addr);
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let status = response.split_ascii_whitespace().nth(1).unwrap();
+    let (_, body) = response.split_once("\r\n\r\n").unwrap();
+    format!("{status} {}", masked(body, &[]))
+}
+
+/// The bytes of every body the streamed-answer comparison above does not
+/// cover, pinned literally: `/devices`, `/geofence_add`, `/geofences`,
+/// `/subscribe`, `/trace`, `/stats` (in memory, and durable and paged),
+/// each handler's 400s, the 404, the HTTP-level errors and `/shutdown`.
+/// A fence name and echoed parameters hold `"`, `\`, a control character
+/// and non-ASCII text, so the escaping is pinned too.  Every mismatch is
+/// reported at once.
+#[test]
+fn every_other_body_keeps_its_bytes() {
+    let mut mismatches = Vec::new();
+    let mut pin = |what: &str, got: String, want: &str| {
+        if got != want {
+            mismatches.push(format!("{what}\n  got:  {got}\n  want: {want}"));
+        }
+    };
+    let store = sample_store(3);
+    let server =
+        Server::start(Arc::clone(&store), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let get = |path: &str, volatile: &[&str]| pinned_get(addr, path, volatile);
+
+    for (path, want) in [
+        (
+            "/devices",
+            r#"200 {"count":3,"devices":[0,1,2],"latency_us":#}"#,
+        ),
+        (
+            "/devices?limit=2",
+            r#"200 {"count":3,"devices":[0,1],"latency_us":#}"#,
+        ),
+        (
+            "/geofence_add?name=q%22%5C%01%C3%A9&min_x=-50&min_y=-50&max_x=150&max_y=50",
+            r#"200 {"id":1,"name":"q\"\\\u0001é","latency_us":#}"#,
+        ),
+        (
+            "/geofence_add?name=timed&min_x=0&min_y=900&max_x=300&max_y=1100&from=0.5&to=40.25",
+            r#"200 {"id":2,"name":"timed","latency_us":#}"#,
+        ),
+    ] {
+        pin(path, get(path, &[]), want);
+    }
+    // Device 7 crosses the untimed fence, device 8 the timed one.
+    store.ingest(7, &line(0.0, 100.0, 8), 5.0).unwrap();
+    store.ingest(8, &line(1000.0, 0.0, 8), 5.0).unwrap();
+    for (path, want) in [
+        (
+            "/geofences",
+            r#"200 {"fences":[{"id":1,"name":"q\"\\\u0001é","min_x":-50,"min_y":-50,"max_x":150,"max_y":50},{"id":2,"name":"timed","min_x":0,"min_y":900,"max_x":300,"max_y":1100,"from":0.5,"to":40.25}],"stats":{"fences":2,"alerts_fired":2,"blocks_checked":4,"blocks_skipped":2,"subscriptions":0,"ring_evicted":0,"subscriber_dropped":0},"latency_us":#}"#,
+        ),
+        (
+            "/subscribe",
+            r#"200 {"alerts":[{"seq":1,"fence_id":1,"fence_name":"q\"\\\u0001é","device":7,"block":0,"t_min":100,"t_max":180,"num_segments":8},{"seq":2,"fence_id":2,"fence_name":"timed","device":8,"block":0,"t_min":0,"t_max":80,"num_segments":8}],"next_cursor":2,"missed":0,"latency_us":#}"#,
+        ),
+        (
+            "/subscribe?cursor=1&limit=1&fence=2",
+            r#"200 {"alerts":[{"seq":2,"fence_id":2,"fence_name":"timed","device":8,"block":0,"t_min":0,"t_max":80,"num_segments":8}],"next_cursor":2,"missed":0,"latency_us":#}"#,
+        ),
+        (
+            "/subscribe?cursor=9",
+            r#"200 {"alerts":[],"next_cursor":9,"missed":0,"latency_us":#}"#,
+        ),
+    ] {
+        pin(path, get(path, &[]), want);
+    }
+
+    for (path, want) in [
+        (
+            "/devices?limit=-3",
+            r#"400 {"error":"parameter 'limit' is not a count: '-3'","latency_us":#}"#,
+        ),
+        (
+            "/time_slice?device=a%22b%5Cc&from=0&to=1",
+            r#"400 {"error":"parameter 'device' is not a device id: 'a\"b\\c'","latency_us":#}"#,
+        ),
+        (
+            "/time_slice?from=0&to=1",
+            r#"400 {"error":"missing parameter 'device'","latency_us":#}"#,
+        ),
+        (
+            "/time_slice?device=1&from=0",
+            r#"400 {"error":"missing parameter 'to'","latency_us":#}"#,
+        ),
+        (
+            "/time_slice?device=1&from=x%22%5C&to=1",
+            r#"400 {"error":"parameter 'from' is not a number: 'x\"\\'","latency_us":#}"#,
+        ),
+        (
+            "/time_slice?device=1&from=nan&to=1",
+            r#"400 {"error":"parameter 'from' must be finite","latency_us":#}"#,
+        ),
+        (
+            "/window?min_x=0&min_y=0&max_x=10",
+            r#"400 {"error":"missing parameter 'max_y'","latency_us":#}"#,
+        ),
+        (
+            "/window?min_x=0&min_y=0&max_x=10&max_y=10&from=1",
+            r#"400 {"error":"'from' and 'to' must be given together","latency_us":#}"#,
+        ),
+        (
+            "/position_at?device=1",
+            r#"400 {"error":"missing parameter 't'","latency_us":#}"#,
+        ),
+        (
+            "/knn?x=1",
+            r#"400 {"error":"missing parameter 'y'","latency_us":#}"#,
+        ),
+        (
+            "/knn?points=1,2,3",
+            r#"400 {"error":"point 0 is not 'x,y': '1,2,3' (separate points with ';')","latency_us":#}"#,
+        ),
+        (
+            "/knn?points=1,2;a,b",
+            r#"400 {"error":"point 1 has non-numeric coordinates: 'a,b'","latency_us":#}"#,
+        ),
+        (
+            "/knn?points=inf,1",
+            r#"400 {"error":"point 0 must have finite coordinates","latency_us":#}"#,
+        ),
+        (
+            "/knn?points=;",
+            r#"400 {"error":"'points' lists no points","latency_us":#}"#,
+        ),
+        (
+            "/knn?x=1&y=2&k=0",
+            r#"400 {"error":"parameter 'k' must be a positive count","latency_us":#}"#,
+        ),
+        (
+            "/geofence_add?min_x=0",
+            r#"400 {"error":"missing parameter 'min_y'","latency_us":#}"#,
+        ),
+        (
+            "/geofence_add?min_x=10&min_y=0&max_x=0&max_y=10",
+            r#"400 {"error":"fence region is inverted (min > max)","latency_us":#}"#,
+        ),
+        (
+            "/geofence_add?min_x=0&min_y=0&max_x=1&max_y=1&to=3",
+            r#"400 {"error":"'from' and 'to' must be given together","latency_us":#}"#,
+        ),
+        (
+            "/subscribe?cursor=-1",
+            r#"400 {"error":"parameter 'cursor' is not a sequence number","latency_us":#}"#,
+        ),
+        (
+            "/subscribe?limit=0",
+            r#"400 {"error":"parameter 'limit' must be a positive count","latency_us":#}"#,
+        ),
+        (
+            "/subscribe?fence=x%5C",
+            r#"400 {"error":"parameter 'fence' is not a fence id: 'x\\'","latency_us":#}"#,
+        ),
+        (
+            "/trace?limit=x",
+            r#"400 {"error":"parameter 'limit' is not a count: 'x'","latency_us":#}"#,
+        ),
+        (
+            "/no_such%22route",
+            r#"404 {"error":"no such endpoint: /no_such\"route","latency_us":#}"#,
+        ),
+    ] {
+        pin(path, get(path, &[]), want);
+    }
+    let many: Vec<String> = (0..65).map(|i| format!("{i},0")).collect();
+    pin(
+        "/knn with 65 points",
+        get(&format!("/knn?points={}", many.join(";")), &[]),
+        r#"400 {"error":"'points' lists more than 64 points","latency_us":#}"#,
+    );
+    pin(
+        "POST",
+        raw_exchange(addr, "POST /stats HTTP/1.1\r\n\r\n"),
+        r#"405 {"error":"unsupported method POST","latency_us":#}"#,
+    );
+    pin(
+        "garbage",
+        raw_exchange(addr, "garbage\r\n\r\n"),
+        r#"400 {"error":"malformed request: request line missing target","latency_us":#}"#,
+    );
+    pin(
+        "/stats",
+        get("/stats", &["mean_latency_us", "uptime_seconds"]),
+        r#"200 {"store":{"devices":5,"blocks":5,"segments":40,"points":45,"stored_bytes":793,"resident_bytes":433,"bytes_per_point":17.622222222222224,"compression_factor":1.3619167717528373},"memory":{"resident_payload_bytes":433,"index_bytes":5040,"arena_creates":0,"arena_reuses":0},"server":{"requests":34,"client_errors":26,"server_errors":0,"rejected":0,"mean_latency_us":#,"skip_ratio":0,"num_shards":4,"uptime_seconds":#},"query":{"geofence":{"fences":2,"alerts_fired":2,"blocks_checked":4,"blocks_skipped":2,"subscriptions":0,"ring_evicted":0,"subscriber_dropped":0}},"latency_us":#}"#,
+    );
+    pin(
+        "/shutdown",
+        get("/shutdown", &[]),
+        r#"200 {"ok":true,"latency_us":#}"#,
+    );
+    server.join();
+
+    // Every request traced, so that the newest two in the slow log are a
+    // trace with spans (one of them without attrs) and one without spans.
+    // The log is shared by the whole process: should a slow request of
+    // another test land between the two, they are sent again.
+    let config = ServiceConfig::default().with_slow_query_threshold(Some(Duration::ZERO));
+    let server = Server::start(sample_store(3), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    let mut trace = String::new();
+    for _ in 0..3 {
+        pinned_get(addr, "/devices?limit=0", &[]);
+        pinned_get(addr, "/position_at?device=1&t=25", &[]);
+        trace = pinned_get(
+            addr,
+            "/trace?limit=2",
+            &["count", "total_us", "start_us", "dur_us"],
+        );
+        if trace.contains(r#"[{"name":"/position_at?device=1&t=25","#)
+            && trace.contains(r#"},{"name":"/devices?limit=0","#)
+        {
+            break;
+        }
+    }
+    pin(
+        "/trace?limit=2",
+        trace,
+        r#"200 {"count":#,"traces":[{"name":"/position_at?device=1&t=25","total_us":#,"dropped_spans":0,"spans":[{"id":2,"parent":1,"name":"index_walk","start_us":#,"dur_us":#,"attrs":{"scope":"device_log"}},{"id":3,"parent":1,"name":"decode","start_us":#,"dur_us":#,"attrs":{"format":"varint","bytes":"87"}},{"id":1,"parent":0,"name":"position_at","start_us":#,"dur_us":#,"attrs":{}}]},{"name":"/devices?limit=0","total_us":#,"dropped_spans":0,"spans":[]}],"latency_us":#}"#,
+    );
+    server.stop();
+
+    // A durable, paged store with a standing fence: every `/stats`
+    // section exists.
+    let dir = std::env::temp_dir().join(format!("traj-service-pins-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = StoreConfig::default()
+        .with_block_segments(4)
+        .with_cache_bytes(Some(4096))
+        .with_durability(traj_store::DurabilityMode::WalGroupCommit(
+            Duration::from_millis(1),
+        ));
+    {
+        let (store, _) = ShardedStore::open_durable(&dir, 4, config).unwrap();
+        for d in 0..3 {
+            store
+                .ingest(d, &line(d as f64 * 1000.0, 0.0, 8), 5.0)
+                .unwrap();
+        }
+    }
+    let (store, _) = ShardedStore::open_durable(&dir, 4, config).unwrap();
+    let west = BoundingBox {
+        min_x: -50.0,
+        min_y: -50.0,
+        max_x: 150.0,
+        max_y: 50.0,
+    };
+    store.geofences().register("west", west, None).unwrap();
+    let server = Server::start(Arc::new(store), "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr();
+    pinned_get(addr, "/time_slice?device=1&from=0&to=40", &[]);
+    pin(
+        "durable /stats",
+        pinned_get(
+            addr,
+            "/stats",
+            &[
+                "mean_latency_us",
+                "uptime_seconds",
+                "sync_p50_us",
+                "sync_p99_us",
+            ],
+        ),
+        r#"200 {"store":{"devices":3,"blocks":6,"segments":24,"points":27,"stored_bytes":722,"resident_bytes":0,"bytes_per_point":26.74074074074074,"compression_factor":0.8975069252077562},"memory":{"resident_payload_bytes":0,"index_bytes":2976,"arena_creates":1,"arena_reuses":0},"server":{"requests":1,"client_errors":0,"server_errors":0,"rejected":0,"mean_latency_us":#,"skip_ratio":0,"num_shards":4,"uptime_seconds":#},"query":{"geofence":{"fences":1,"alerts_fired":0,"blocks_checked":0,"blocks_skipped":0,"subscriptions":0,"ring_evicted":0,"subscriber_dropped":0}},"wal":{"mode":"wal-group-commit","wal_bytes":30,"ingests_appended":0,"records_appended":0,"syncs":0,"sync_p50_us":#,"sync_p99_us":#,"records_replayed":12,"ingests_replayed":3,"checkpoints":0},"cache":{"capacity_bytes":4096,"resident_bytes":98,"resident_pages":2,"hits":0,"misses":2,"evictions":0,"hit_ratio":0},"latency_us":#}"#,
+    );
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// A device id above 2⁵³ comes back digit for digit from every endpoint
+/// that names it: `f64` would round 2⁵³ + 1 to 2⁵³.  The raw body bytes
+/// are checked, since parsing them as doubles would lose the difference.
+#[test]
+fn ids_above_2_pow_53_come_back_exact_on_every_endpoint() {
+    const DEVICE: u64 = (1 << 53) + 1;
+    let store = Arc::new(ShardedStore::with_default_config(4));
+    let west = BoundingBox {
+        min_x: -50.0,
+        min_y: -50.0,
+        max_x: 150.0,
+        max_y: 50.0,
+    };
+    store.geofences().register("west", west, None).unwrap();
+    store.ingest(DEVICE, &line(0.0, 0.0, 8), 5.0).unwrap();
+    let server = Server::start(store, "127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr();
+    for (path, want) in [
+        ("/devices", r#""devices":[9007199254740993]"#),
+        ("/subscribe", r#""device":9007199254740993,"#),
+        (
+            "/time_slice?device=9007199254740993&from=0&to=80",
+            r#"{"device":9007199254740993,"#,
+        ),
+        (
+            "/position_at?device=9007199254740993&t=5",
+            r#"{"device":9007199254740993,"#,
+        ),
+        (
+            "/window?min_x=0&min_y=-10&max_x=100&max_y=10",
+            r#"{"device":9007199254740993,"#,
+        ),
+        ("/knn?x=0&y=0", r#"{"device":9007199254740993,"#),
+    ] {
+        let (status, body) = client::http_get(addr, path).unwrap();
+        assert_eq!(status, 200, "{path}: {body}");
+        assert!(body.contains(want), "{path}: {body}");
+    }
+    server.stop();
+}

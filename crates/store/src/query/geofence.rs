@@ -109,8 +109,9 @@ pub struct GeofenceStats {
 }
 
 impl GeofenceStats {
-    /// Puts the registry's `geofence_*` series into a metrics snapshot.
-    /// The persist-error counter appears from the first failure on.
+    /// Puts the registry's `geofence_*` series into a metrics snapshot,
+    /// every one of them always, so that a persist-error count of 0 is
+    /// told apart from a series that is not exported.
     pub fn export(&self, series: &mut Snapshot) {
         series.put_gauge(
             "geofence_fences",
@@ -154,14 +155,12 @@ impl GeofenceStats {
             &[],
             self.subscriber_dropped,
         );
-        if self.persist_errors > 0 {
-            series.put_counter(
-                "geofence_persist_errors_total",
-                "failed geofence state writes",
-                &[],
-                self.persist_errors,
-            );
-        }
+        series.put_counter(
+            "geofence_persist_errors_total",
+            "failed geofence state writes",
+            &[],
+            self.persist_errors,
+        );
     }
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full workspace gate: formatting, release build, the workspace tests
+# The full workspace gate: formatting, a guard that the server writes its
+# responses without a JsonValue tree, release build, the workspace tests
 # (the exact codec/store/query counts of tests/exact_counts.rs and the
 # per-request allocation budgets of tests/alloc_budget.rs among them),
 # the release-mode robustness, query-engine, serving and crash-recovery
@@ -12,6 +13,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+
+echo "==> one JSON writer for responses: the server names no JsonValue"
+# Every response body is written by server.rs's streamed writers;
+# JsonValue stays for parsing, the client and the store's own files.
+if grep -n 'JsonValue' crates/service/src/server.rs; then
+    echo "crates/service/src/server.rs names JsonValue: write responses with its streamed writers" >&2
+    exit 1
+fi
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
