@@ -14,7 +14,7 @@ use traj_data::{DatasetGenerator, DatasetKind};
 use traj_geo::DirectedSegment;
 use traj_model::json::{write_number, write_u64};
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
-use traj_store::ShardedStore;
+use traj_store::{ShardedStore, StoreConfig};
 
 /// The writer as it was before the fast path: integers below 2⁵³ through
 /// `i64`'s `Display`, everything else through `f64`'s, with `.0` added
@@ -120,7 +120,7 @@ fn dequantized_values_match_std() {
 #[test]
 fn every_coordinate_a_seeded_store_decodes_matches_std() {
     let generator = DatasetGenerator::for_kind(DatasetKind::Taxi, 7);
-    let store = ShardedStore::with_default_config(4);
+    let store = ShardedStore::new(StoreConfig::default(), 4);
     let devices = 60u64;
     for device in 0..devices {
         let trajectory = generator.generate_trajectory(device as usize, 300);

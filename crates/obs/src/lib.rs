@@ -45,10 +45,11 @@
 //! [`trace_begin`] opens a bounded per-request trace on the current
 //! thread; every [`span`] guard dropped while it is active records
 //! `(name, parent, start, duration, attrs)` into it.  The finished
-//! [`Trace`] can be rendered as an indented tree or pushed into the
-//! process-wide [`slow_log`] ring for retrieval over `/trace`.  The guard
-//! reports [`TraceGuard::elapsed_us`] first, so a caller keeping only
-//! slow traces builds the owned [`Trace`] (and its name) only for those.
+//! [`Trace`] can be rendered as an indented tree or pushed into a
+//! [`SlowLog`] ring (each server owns one) for retrieval over `/trace`.
+//! The guard reports [`TraceGuard::elapsed_us`] first, so a caller
+//! keeping only slow traces builds the owned [`Trace`] (and its name)
+//! only for those.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +61,4 @@ pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     Sample, SampleKind, Snapshot, BUCKETS,
 };
-pub use trace::{
-    slow_log, span, trace_begin, AttrValue, SlowLog, Span, SpanRecord, Trace, TraceGuard,
-};
+pub use trace::{span, trace_begin, AttrValue, SlowLog, Span, SpanRecord, Trace, TraceGuard};

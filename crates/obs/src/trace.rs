@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Spans kept per trace; further spans are counted, not stored.
@@ -27,7 +27,7 @@ pub const MAX_SPANS: usize = 256;
 /// Attributes kept per span; further [`Span::attr`] calls are ignored.
 pub const MAX_SPAN_ATTRS: usize = 4;
 
-/// Finished traces kept in the slow-query ring.
+/// Finished traces a server's slow-query ring keeps.
 pub const SLOW_LOG_CAPACITY: usize = 64;
 
 /// A span attribute value: a count, a flag or a static label.  Rendered
@@ -442,12 +442,6 @@ impl SlowLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// The process-wide slow-query ring (capacity [`SLOW_LOG_CAPACITY`]).
-pub fn slow_log() -> &'static SlowLog {
-    static SLOW: OnceLock<SlowLog> = OnceLock::new();
-    SLOW.get_or_init(|| SlowLog::new(SLOW_LOG_CAPACITY))
 }
 
 #[cfg(test)]

@@ -56,10 +56,10 @@
 //! use traj_geo::DirectedSegment;
 //! use traj_model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
 //! use traj_service::{client, Server, ServiceConfig};
-//! use traj_store::ShardedStore;
+//! use traj_store::{ShardedStore, StoreConfig};
 //!
 //! // A one-device store…
-//! let store = Arc::new(ShardedStore::with_default_config(4));
+//! let store = Arc::new(ShardedStore::new(StoreConfig::default(), 4));
 //! let trajectory = Trajectory::from_xy(&[(0.0, 0.0), (50.0, 1.0), (100.0, 0.0)]);
 //! let simplified = SimplifiedTrajectory::new(
 //!     vec![SimplifiedSegment::new(

@@ -12,8 +12,10 @@ use std::time::{Duration, Instant};
 use traj_geo::{BoundingBox, Point};
 use traj_model::json::{write_escaped, write_number, write_u64};
 use traj_model::SimplifiedSegment;
+use traj_obs::trace::SLOW_LOG_CAPACITY;
 use traj_obs::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, Snapshot, SpanRecord, Trace,
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Sample, SlowLog, Snapshot, SpanRecord,
+    Trace,
 };
 use traj_store::{
     CacheStats, DurabilityMode, GeofenceAlert, MemoryStats, QueryStats, ShardedStore, StoreStats,
@@ -194,6 +196,8 @@ struct Shared {
     blocks_decoded: Counter,
     index_candidates: Counter,
     queue_depth: Gauge,
+    /// This server's slow-query ring, the store behind `/trace`.
+    slow_log: SlowLog,
     /// The open connections, so that shutdown can close their read sides.
     /// Its length is the admission count.
     open: Mutex<Vec<Arc<TcpStream>>>,
@@ -350,6 +354,7 @@ impl Server {
                 &[],
             ),
             registry,
+            slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
             open: Mutex::new(Vec::new()),
             permits: Mutex::new(workers),
             permit_freed: Condvar::new(),
@@ -575,7 +580,7 @@ fn traced_respond(shared: &Shared, request: &Request) -> (u16, Body) {
     let guard = traj_obs::trace_begin();
     let answer = respond(shared, request);
     if Duration::from_micros(guard.elapsed_us()) >= threshold {
-        traj_obs::slow_log().push(guard.finish(trace_name(request)));
+        shared.slow_log.push(guard.finish(trace_name(request)));
     }
     answer
 }
@@ -600,7 +605,7 @@ fn respond(shared: &Shared, request: &Request) -> (u16, Body) {
         "/geofence_add" => handle_geofence_add(store, request),
         "/subscribe" => handle_subscribe(store, request),
         "/stats" => handle_stats(shared),
-        "/trace" => handle_trace(request),
+        "/trace" => handle_trace(shared, request),
         "/shutdown" if shared.config.enable_shutdown_endpoint => {
             shared.signal_shutdown();
             Ok("{\"ok\":true".to_string())
@@ -1154,7 +1159,7 @@ fn scrape(shared: &Shared) -> Scrape {
         "service_slow_queries_logged",
         "Traces currently held in the slow-query ring buffer.",
         &[],
-        traj_obs::slow_log().len() as f64,
+        shared.slow_log.len() as f64,
     );
 
     let store = shared.store.as_ref();
@@ -1351,9 +1356,9 @@ fn write_trace(out: &mut String, t: &Trace) {
 
 /// `GET /trace`: the slow-query ring buffer, newest first.  `limit` caps
 /// how many traces are returned.
-fn handle_trace(request: &Request) -> Result<String, Rejection> {
+fn handle_trace(shared: &Shared, request: &Request) -> Result<String, Rejection> {
     let limit = optional_count(request, "limit")?.unwrap_or(usize::MAX);
-    let traces = traj_obs::slow_log().recent();
+    let traces = shared.slow_log.recent();
     let mut out = response_buffer(0);
     write_number_members(&mut out, &[("count", traces.len().into())]);
     write_key(&mut out, "traces");

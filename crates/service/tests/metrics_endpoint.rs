@@ -28,7 +28,7 @@ fn line(y: f64, segments: usize) -> SimplifiedTrajectory {
 }
 
 fn sample_store(devices: u64) -> Arc<ShardedStore> {
-    let store = Arc::new(ShardedStore::with_default_config(4));
+    let store = Arc::new(ShardedStore::new(StoreConfig::default(), 4));
     for d in 0..devices {
         store.ingest(d, &line(d as f64 * 1000.0, 8), 5.0).unwrap();
     }
@@ -231,14 +231,36 @@ fn tracing_disabled_keeps_the_slow_log_quiet() {
     let json = JsonValue::parse(&body).unwrap();
     let traces = json.get("traces").and_then(JsonValue::as_array).unwrap();
     assert!(
-        !traces.iter().any(|t| {
-            t.get("name")
-                .and_then(JsonValue::as_str)
-                .is_some_and(|n| n.contains("to=1e12"))
-        }),
+        traces.is_empty(),
         "tracing off must not push to the slow log"
     );
     server.stop();
+}
+
+/// Each server keeps its own slow-query log: what one traces never shows
+/// on the other's `/trace` or `service_slow_queries_logged`.
+#[test]
+fn two_servers_in_one_process_keep_their_own_slow_logs() {
+    let traced = ServiceConfig::default().with_slow_query_threshold(Some(Duration::ZERO));
+    let a = Server::start(sample_store(2), "127.0.0.1:0", traced.clone()).unwrap();
+    let b = Server::start(sample_store(2), "127.0.0.1:0", traced).unwrap();
+    client::http_get(a.local_addr(), "/time_slice?device=0&from=0&to=60").unwrap();
+    client::http_get(a.local_addr(), "/devices").unwrap();
+    for (server, logged) in [(&a, 2.0), (&b, 0.0)] {
+        let addr = server.local_addr();
+        let (_, body) = client::http_get(addr, "/trace").unwrap();
+        let count = JsonValue::parse(&body)
+            .unwrap()
+            .get("count")
+            .and_then(JsonValue::as_f64);
+        assert_eq!(count, Some(logged), "/trace on {addr}");
+        // The `/trace` request is logged once it is answered.
+        let (_, body) = client::http_get(addr, "/metrics").unwrap();
+        let gauge = samples(&body)["service_slow_queries_logged"];
+        assert_eq!(gauge, logged + 1.0, "slow log gauge on {addr}");
+    }
+    a.stop();
+    b.stop();
 }
 
 /// `devices` straight lines, one per device, as [`sample_store`] holds.

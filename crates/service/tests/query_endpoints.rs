@@ -9,7 +9,7 @@ use traj_geo::{DirectedSegment, Point};
 use traj_model::json::JsonValue;
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
 use traj_service::{client, Server, ServiceConfig};
-use traj_store::ShardedStore;
+use traj_store::{ShardedStore, StoreConfig};
 
 /// A straight eastbound line at `y`, `segments` segments of 100 m / 10 s.
 fn line(y: f64, start_t: f64, segments: usize) -> SimplifiedTrajectory {
@@ -24,7 +24,7 @@ fn line(y: f64, start_t: f64, segments: usize) -> SimplifiedTrajectory {
 }
 
 fn sample_store(devices: u64) -> Arc<ShardedStore> {
-    let store = Arc::new(ShardedStore::with_default_config(4));
+    let store = Arc::new(ShardedStore::new(StoreConfig::default(), 4));
     for d in 0..devices {
         store
             .ingest(d, &line(d as f64 * 1000.0, 0.0, 8), 5.0)
@@ -137,7 +137,7 @@ fn knn_endpoint_ranks_devices_and_reports_pruning() {
 #[test]
 fn streamed_endpoints_write_device_ids_above_2_pow_53_exactly() {
     let device = (1u64 << 53) + 1;
-    let store = Arc::new(ShardedStore::with_default_config(4));
+    let store = Arc::new(ShardedStore::new(StoreConfig::default(), 4));
     store.ingest(device, &line(0.0, 0.0, 8), 5.0).unwrap();
     let server = Server::start(store, "127.0.0.1:0", ServiceConfig::default()).unwrap();
     let want = "\"device\":9007199254740993";

@@ -7,26 +7,33 @@
 //! *query*, answering directly from the compressed representation and
 //! decoding only the blocks a query provably needs.
 //!
+//! There is one store type, [`ShardedStore`]: the fleet is partitioned by
+//! device hash into independently locked shards (one shard is the plain
+//! single-owner case), and callers see the same queries whatever the
+//! shard count.  A store directory holds one flat log, so a store saved
+//! at one shard count opens at any other.
+//!
 //! Dataflow:
 //!
 //! ```text
-//!  traj-pipeline ──▶ StoreSink ──▶ TrajStore::ingest
-//!                                      │  chop into ≤ block_segments chunks,
-//!                                      │  encode (traj_model::codec),
-//!                                      ▼  seal with bbox + time metadata
-//!                         per-device append-only segment logs
-//!                                      │
-//!                                      ▼  register ζ-expanded bbox
+//!  traj-pipeline ──▶ FleetStoreSink ──▶ ShardedStore::ingest
+//!                                           │  write-lock the device's shard,
+//!                                           │  chop into ≤ block_segments chunks,
+//!                                           │  encode (traj_model::codec),
+//!                                           ▼  seal with bbox + time metadata
+//!                         per-device append-only segment logs (per shard)
+//!                                           │
+//!                                           ▼  register ζ-expanded bbox
 //!                         spatio-temporal grid index (data skipping)
-//!                                      │
-//!            time_slice ──────────────┤   decode only overlapping blocks
-//!            window_query ────────────┤
-//!            position_at ─────────────┘
+//!                                           │
+//!            time_slice ───────────────────┤   decode only overlapping blocks
+//!            window_query ─────────────────┤
+//!            position_at ──────────────────┘
 //! ```
 //!
 //! Three guarantees carry the stored error bound ζ through to every
 //! query result (exact for data ingested with
-//! [`TrajStore::ingest_with_original`], whose block metadata covers the
+//! [`ShardedStore::ingest_with_original`], whose block metadata covers the
 //! actual data points):
 //!
 //! * a time slice covers its range: every original point with a
@@ -37,7 +44,7 @@
 //!   segment of its device (matching is conservative by `ζ + slack` at
 //!   both the block and the segment level, and a segment that owns
 //!   points past its end is also tested against its own ζ-strip);
-//! * [`TrajStore::position_at`] returns a point on the stored piecewise
+//! * [`ShardedStore::position_at`] returns a point on the stored piecewise
 //!   line, which is within `ζ + slack` of the original trajectory in
 //!   the paper's perpendicular sense.
 //!
@@ -45,7 +52,7 @@
 //!
 //! ```
 //! use traj_model::{BatchSimplifier, Trajectory};
-//! use traj_store::TrajStore;
+//! use traj_store::{ShardedStore, StoreConfig};
 //!
 //! // Simplify a drive under ζ = 2 m and store it for device 7.
 //! let trajectory = Trajectory::from_xy(&[
@@ -53,7 +60,7 @@
 //! ]);
 //! let simplified = operb::Operb::new().simplify(&trajectory, 2.0).unwrap();
 //!
-//! let mut store = TrajStore::default();
+//! let store = ShardedStore::new(StoreConfig::default(), 1);
 //! store.ingest(7, &simplified, 2.0).unwrap();
 //!
 //! // Query back from the compressed representation.
@@ -85,13 +92,10 @@ pub use query::{
     KnnResult, KnnStats, PollResult, Subscription,
 };
 pub use shard::{DurableReport, ShardedStore};
-pub use sink::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, FleetStoreSink, IngestTarget,
-    SharedStoreSink, StoreSink,
-};
+pub use sink::{compress_fleet_into_shared_store, FleetStoreSink};
 pub use store::{
     DeviceMatch, MemoryStats, QueryStats, StoreConfig, StoreError, StoreStats, TimeSlice,
-    TrajStore, WindowQuery,
+    WindowQuery,
 };
 pub use traj_model::codec::BlockFormat;
 pub use wal::{DurabilityMode, Wal, WalReplayReport, WalStats};

@@ -21,7 +21,8 @@ use traj_model::json::JsonValue;
 
 use crate::block::{read_record_header, Block, BlockMeta};
 use crate::pager::Pager;
-use crate::store::{StoreConfig, StoreError, TrajStore};
+use crate::shard::ShardedStore;
+use crate::store::{StoreConfig, StoreError, StoreStats};
 use crate::wal::fault;
 
 /// Current on-disk format version.  Version 2 added a per-record block
@@ -29,7 +30,7 @@ use crate::wal::fault;
 /// (untagged records, implicitly varint) remain readable forever.
 pub const FORMAT_VERSION: usize = 2;
 
-/// Oldest on-disk format version still accepted by `open`.
+/// Oldest on-disk format version a store still opens from.
 pub const MIN_FORMAT_VERSION: usize = 1;
 
 const MANIFEST_FILE: &str = "manifest.json";
@@ -39,7 +40,8 @@ fn io_err(context: &str, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{context}: {e}"))
 }
 
-/// What [`TrajStore::open_recover`] salvaged and what it had to drop.
+/// What [`ShardedStore::open_recover_with`] salvaged and what it had to
+/// drop.
 ///
 /// Recovery keeps the longest valid prefix of the segment log: everything
 /// up to (but excluding) the first record that fails framing, decoding,
@@ -60,7 +62,8 @@ pub struct RecoveryReport {
 
 impl RecoveryReport {
     /// `true` when nothing was dropped and the log matches the manifest —
-    /// the store opened exactly as a strict [`TrajStore::open`] would.
+    /// the store opened exactly as a strict [`ShardedStore::open_with`]
+    /// would.
     pub fn is_clean(&self) -> bool {
         self.bytes_dropped == 0
             && self.dropped_reason.is_none()
@@ -148,12 +151,11 @@ pub(crate) fn validate_block_parts(
 }
 
 /// Writes a store directory from an already-serialized log and its
-/// summary stats — shared by the single-owner and sharded save paths
-/// (which differ only in how they gather the records).
+/// summary stats (the file half of [`ShardedStore::save`]).
 pub(crate) fn write_store_files(
     dir: &Path,
-    config: &crate::store::StoreConfig,
-    stats: &crate::store::StoreStats,
+    config: &StoreConfig,
+    stats: &StoreStats,
     log: &[u8],
 ) -> Result<(), StoreError> {
     fs::create_dir_all(dir).map_err(|e| io_err("create store directory", e))?;
@@ -201,89 +203,19 @@ fn atomic_write(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> 
     Ok(())
 }
 
-impl TrajStore {
-    /// Persists the store into `dir` (created if missing, contents
-    /// overwritten).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures.
-    pub fn save(&self, dir: &Path) -> Result<(), StoreError> {
-        let stats = self.stats();
-        let mut log = Vec::with_capacity(stats.stored_bytes);
-        self.append_log_records(&mut log)?;
-        write_store_files(dir, self.config(), &stats, &log)
-    }
-
-    /// Opens a store persisted by [`TrajStore::save`], rebuilding the
-    /// grid index from the log.
-    ///
-    /// Opening is **lazy**: every record is fully validated (framing,
-    /// decode, metadata soundness), but only the metadata stays resident
-    /// — payloads are re-read on demand through a buffer pool over the
-    /// log file (unbounded by default; see
-    /// [`StoreConfig::with_cache_bytes`] and [`TrajStore::open_with`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures and
-    /// [`StoreError::Corrupt`] when the manifest or log fails validation.
-    pub fn open(dir: &Path) -> Result<TrajStore, StoreError> {
-        Self::open_impl(dir, false, StoreConfig::default()).map(|(store, _)| store)
-    }
-
-    /// [`TrajStore::open`] with runtime configuration: the store's layout
-    /// (block size, cell size, codec) always comes from the manifest,
-    /// while the *runtime* fields of `config` — durability and buffer-pool
-    /// capacity — come from the caller.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrajStore::open`].
-    pub fn open_with(dir: &Path, config: StoreConfig) -> Result<TrajStore, StoreError> {
-        Self::open_impl(dir, false, config).map(|(store, _)| store)
-    }
-
-    /// Opens a store like [`TrajStore::open`], but salvages the longest
-    /// valid prefix of the segment log instead of rejecting the whole
-    /// store when the log has a torn or corrupt tail (the state a crash
-    /// mid-append leaves behind).  The returned [`RecoveryReport`] says
-    /// exactly what was kept and what was dropped.
-    ///
-    /// The manifest itself must still be valid — it carries the codec
-    /// configuration, without which no block can be interpreted — and
-    /// every *recovered* block passed full decode + metadata validation,
-    /// so the store never serves data it cannot vouch for.  When the tail
-    /// was dropped, the fleet-wide original-point counter is re-estimated
-    /// from the recovered block metadata (an upper bound: blocks of one
-    /// ingest share boundary points).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures and
-    /// [`StoreError::Corrupt`] when the manifest fails validation.
-    pub fn open_recover(dir: &Path) -> Result<(TrajStore, RecoveryReport), StoreError> {
-        Self::open_impl(dir, true, StoreConfig::default())
-    }
-
-    /// [`TrajStore::open_recover`] with runtime configuration (see
-    /// [`TrajStore::open_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrajStore::open_recover`].
-    pub fn open_recover_with(
-        dir: &Path,
-        config: StoreConfig,
-    ) -> Result<(TrajStore, RecoveryReport), StoreError> {
-        Self::open_impl(dir, true, config)
-    }
-
-    fn open_impl(
+impl ShardedStore {
+    /// The one open behind [`ShardedStore::open_with`],
+    /// [`ShardedStore::open_recover_with`] and
+    /// [`ShardedStore::open_durable`]: reads the manifest, then validates
+    /// the log record by record straight into `num_shards` shards.  With
+    /// `recover` the longest valid prefix of the log is kept instead of
+    /// failing on the first bad record.
+    pub(crate) fn open_dir(
         dir: &Path,
         recover: bool,
+        num_shards: usize,
         runtime: StoreConfig,
-    ) -> Result<(TrajStore, RecoveryReport), StoreError> {
+    ) -> Result<(ShardedStore, RecoveryReport), StoreError> {
         let manifest_text = fs::read_to_string(dir.join(MANIFEST_FILE))
             .map_err(|e| io_err("read manifest.json", e))?;
         let manifest = JsonValue::parse(&manifest_text)
@@ -313,16 +245,15 @@ impl TrajStore {
             }
             Ok(v)
         };
-        let config = StoreConfig::default()
+        // The layout is the manifest's; the runtime knobs (block format of
+        // new ingests, durability, buffer pool) stay the caller's.
+        let config = runtime
             .with_cell_size(positive("cell_size")?)
             .with_block_segments(positive("block_segments")? as usize)
             .with_codec(SegmentCodec::new(
                 positive("spatial_resolution")?,
                 positive("time_resolution")?,
-            ))
-            // The runtime knobs are the caller's, not the manifest's.
-            .with_durability(runtime.durability)
-            .with_cache_bytes(runtime.cache_bytes);
+            ));
         let expected_blocks = field("blocks")? as usize;
         let points = field("points")? as usize;
 
@@ -332,8 +263,11 @@ impl TrajStore {
         // to this exact file (a later checkpoint renames a new log into
         // place; the old inode stays readable through the open handle).
         let log_bytes = fs::read(dir.join(LOG_FILE)).map_err(|e| io_err("read segments.log", e))?;
-        let mut store = TrajStore::new(config);
+        let mut store = ShardedStore::new(config, num_shards);
         let codec = config.codec;
+        let mut blocks = 0;
+        // The recovered blocks' point count, in case the tail is dropped.
+        let mut estimate = 0;
         let mut reader = ByteReader::new(&log_bytes);
         let mut last_t_min: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
         let mut dropped_reason = None;
@@ -368,7 +302,9 @@ impl TrajStore {
             match checked {
                 Ok((header, payload_offset)) => {
                     last_t_min.insert(header.meta.device, header.meta.t_min);
-                    store.append_block_from_disk(
+                    blocks += 1;
+                    estimate += header.meta.point_count();
+                    store.shard_mut(header.meta.device).append_block_from_disk(
                         header.meta,
                         header.format,
                         payload_offset,
@@ -386,28 +322,26 @@ impl TrajStore {
             }
         }
         let report = RecoveryReport {
-            blocks_recovered: store.num_blocks(),
+            blocks_recovered: blocks,
             manifest_blocks: expected_blocks,
             bytes_dropped,
             dropped_reason,
         };
-        if !recover && store.num_blocks() != expected_blocks {
+        if !recover && blocks != expected_blocks {
             return Err(StoreError::Corrupt(format!(
-                "manifest promises {expected_blocks} blocks, log holds {}",
-                store.num_blocks()
+                "manifest promises {expected_blocks} blocks, log holds {blocks}"
             )));
         }
-        if report.is_clean() || !recover {
-            store.set_total_points(points);
+        // When the tail was dropped the exact fleet-wide counter died with
+        // it; estimate from the recovered metadata (blocks of one ingest
+        // share boundary points, so this slightly overcounts).
+        let points = if report.is_clean() || !recover {
+            points
         } else {
-            // The exact fleet-wide counter died with the tail; estimate
-            // from the recovered metadata (blocks of one ingest share
-            // boundary points, so this slightly overcounts).
-            let estimate = store.stored_blocks().map(|b| b.meta.point_count()).sum();
-            store.set_total_points(estimate);
-        }
+            estimate
+        };
         let pager = Pager::open(&dir.join(LOG_FILE), config.cache_bytes)?;
-        store.set_pager(Arc::new(pager));
+        store.attach_log(Arc::new(pager), points);
         Ok((store, report))
     }
 }
@@ -418,37 +352,62 @@ mod tests {
     use traj_geo::{DirectedSegment, Point};
     use traj_model::{SimplifiedSegment, SimplifiedTrajectory};
 
-    fn sample_store() -> TrajStore {
-        let mut store = TrajStore::new(StoreConfig::default().with_block_segments(2));
+    /// Seven eastbound 40 m segments, 300 m north per device.
+    fn track(device: u64, segments: usize) -> SimplifiedTrajectory {
+        let y = device as f64 * 300.0;
+        let out = (0..segments)
+            .map(|i| {
+                let a = Point::new(i as f64 * 40.0, y, i as f64 * 12.0);
+                let b = Point::new((i + 1) as f64 * 40.0, y + 3.0, (i + 1) as f64 * 12.0);
+                SimplifiedSegment::new(DirectedSegment::new(a, b), i, i + 1)
+            })
+            .collect();
+        SimplifiedTrajectory::new(out, segments + 1)
+    }
+
+    fn sample_store() -> ShardedStore {
+        let store = ShardedStore::new(StoreConfig::default().with_block_segments(2), 1);
         for d in 0..5u64 {
-            let mut segments = Vec::new();
-            for i in 0..7usize {
-                let a = Point::new(i as f64 * 40.0, d as f64 * 300.0, i as f64 * 12.0);
-                let b = Point::new(
-                    (i + 1) as f64 * 40.0,
-                    d as f64 * 300.0 + 3.0,
-                    (i + 1) as f64 * 12.0,
-                );
-                segments.push(SimplifiedSegment::new(DirectedSegment::new(a, b), i, i + 1));
-            }
-            let st = SimplifiedTrajectory::new(segments, 8);
-            store.ingest(d, &st, 12.5).unwrap();
+            store.ingest(d, &track(d, 7), 12.5).unwrap();
         }
         store
     }
 
-    #[test]
-    fn save_open_roundtrip_preserves_everything() {
-        let dir = std::env::temp_dir().join(format!("traj-store-test-{}", std::process::id()));
-        let store = sample_store();
-        store.save(&dir).unwrap();
-        let back = TrajStore::open(&dir).unwrap();
-        // A reopened store is lazy: payloads live on disk, not inline.
-        let want = crate::store::StoreStats {
+    fn open(dir: &Path) -> Result<ShardedStore, StoreError> {
+        ShardedStore::open_with(dir, 1, StoreConfig::default())
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("traj-store-{name}-{}", std::process::id()))
+    }
+
+    /// `store`'s stats as a lazily reopened copy reports them: payloads
+    /// live on disk, not inline.
+    fn reopened_stats(store: &ShardedStore) -> StoreStats {
+        StoreStats {
             resident_bytes: 0,
             ..store.stats()
-        };
-        assert_eq!(back.stats(), want);
+        }
+    }
+
+    /// The block formats of every record in a saved log.
+    fn log_formats(dir: &Path) -> std::collections::BTreeSet<u8> {
+        let log = fs::read(dir.join(LOG_FILE)).unwrap();
+        let mut reader = ByteReader::new(&log);
+        let mut formats = std::collections::BTreeSet::new();
+        while reader.remaining() > 0 {
+            formats.insert(Block::read_record(&mut reader, true).unwrap().format.tag());
+        }
+        formats
+    }
+
+    #[test]
+    fn save_open_roundtrip_preserves_everything() {
+        let dir = scratch("test");
+        let store = sample_store();
+        store.save(&dir).unwrap();
+        let back = open(&dir).unwrap();
+        assert_eq!(back.stats(), reopened_stats(&store));
         assert_eq!(back.config(), store.config());
         for d in store.devices() {
             assert_eq!(back.block_metas(d), store.block_metas(d));
@@ -469,7 +428,7 @@ mod tests {
 
     #[test]
     fn corrupt_stores_are_rejected() {
-        let dir = std::env::temp_dir().join(format!("traj-store-corrupt-{}", std::process::id()));
+        let dir = scratch("corrupt");
         let store = sample_store();
         store.save(&dir).unwrap();
 
@@ -477,9 +436,9 @@ mod tests {
         let log_path = dir.join("segments.log");
         let bytes = fs::read(&log_path).unwrap();
         fs::write(&log_path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(matches!(TrajStore::open(&dir), Err(StoreError::Corrupt(_))));
+        assert!(matches!(open(&dir), Err(StoreError::Corrupt(_))));
         fs::write(&log_path, &bytes).unwrap();
-        assert!(TrajStore::open(&dir).is_ok());
+        assert!(open(&dir).is_ok());
 
         // Manifest promising the wrong block count.
         let manifest_path = dir.join("manifest.json");
@@ -489,7 +448,7 @@ mod tests {
             manifest.replace("\"blocks\": 20", "\"blocks\": 7"),
         )
         .unwrap();
-        assert!(matches!(TrajStore::open(&dir), Err(StoreError::Corrupt(_))));
+        assert!(matches!(open(&dir), Err(StoreError::Corrupt(_))));
 
         // Invalid config values must fail as Corrupt, not panic in a
         // constructor assert.
@@ -498,7 +457,7 @@ mod tests {
             manifest.replace("\"cell_size\": 500", "\"cell_size\": 0"),
         )
         .unwrap();
-        let err = TrajStore::open(&dir).unwrap_err();
+        let err = open(&dir).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(msg) if msg.contains("cell_size")));
 
         // Unsupported version.
@@ -507,27 +466,31 @@ mod tests {
             manifest.replace("\"version\": 2", "\"version\": 99"),
         )
         .unwrap();
-        let err = TrajStore::open(&dir).unwrap_err();
+        let err = open(&dir).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(msg) if msg.contains("version")));
 
         // Missing directory.
         fs::remove_dir_all(&dir).ok();
-        assert!(matches!(TrajStore::open(&dir), Err(StoreError::Io(_))));
+        assert!(matches!(open(&dir), Err(StoreError::Io(_))));
     }
 
     #[test]
     fn version_1_stores_open_as_varint() {
-        use traj_model::codec::{get_varint, ByteReader};
-        let dir = std::env::temp_dir().join(format!("traj-store-v1-{}", std::process::id()));
+        use traj_model::codec::get_varint;
+        let dir = scratch("v1");
         let store = sample_store();
         store.save(&dir).unwrap();
         // Rewrite the directory in the version-1 layout: untagged records
         // (strip the format-tag byte that follows the device varint) and a
         // version-1 manifest.
+        let log = fs::read(dir.join("segments.log")).unwrap();
+        let mut records = ByteReader::new(&log);
         let mut v1_log = Vec::new();
-        for block in store.blocks_materialized().unwrap() {
+        while records.remaining() > 0 {
             let mut tmp = Vec::new();
-            block.write_record(&mut tmp);
+            Block::read_record(&mut records, true)
+                .unwrap()
+                .write_record(&mut tmp);
             let mut r = ByteReader::new(&tmp);
             get_varint(&mut r).unwrap();
             let device_len = tmp.len() - r.remaining();
@@ -542,7 +505,7 @@ mod tests {
             manifest.replace("\"version\": 2", "\"version\": 1"),
         )
         .unwrap();
-        let back = TrajStore::open(&dir).unwrap();
+        let back = open(&dir).unwrap();
         assert_eq!(back.stats().blocks, store.stats().blocks);
         for d in store.devices() {
             assert_eq!(
@@ -554,47 +517,29 @@ mod tests {
     }
 
     #[test]
-    fn mixed_format_store_roundtrips() {
-        use traj_model::codec::BlockFormat;
-        let dir = std::env::temp_dir().join(format!("traj-store-mixed-{}", std::process::id()));
-        // Build one store holding both formats: ingest even devices as
-        // varint and odd devices as frame-of-reference, then merge the
-        // sealed blocks under one log.
+    fn a_reopened_store_ingests_in_the_callers_format() {
+        let dir = scratch("mixed");
+        // Even devices go in as varint; the store is saved and reopened
+        // with frame-of-reference as the format of new ingests, and the
+        // odd devices go in after the reopen.
         let config = StoreConfig::default().with_block_segments(2);
-        let mut varint = TrajStore::new(config.with_format(BlockFormat::Varint));
-        let mut packed = TrajStore::new(config.with_format(BlockFormat::ForFixed));
-        let mut points = 0usize;
-        for d in 0..6u64 {
-            let mut segments = Vec::new();
-            for i in 0..5usize {
-                let a = Point::new(i as f64 * 40.0, d as f64 * 300.0, i as f64 * 12.0);
-                let b = Point::new(
-                    (i + 1) as f64 * 40.0,
-                    d as f64 * 300.0 + 3.0,
-                    (i + 1) as f64 * 12.0,
-                );
-                segments.push(SimplifiedSegment::new(DirectedSegment::new(a, b), i, i + 1));
-            }
-            let st = SimplifiedTrajectory::new(segments, 6);
-            points += 6;
-            let target = if d % 2 == 0 { &mut varint } else { &mut packed };
-            target.ingest(d, &st, 12.5).unwrap();
+        let varint = ShardedStore::new(config, 1);
+        for d in (0..6u64).step_by(2) {
+            varint.ingest(d, &track(d, 5), 12.5).unwrap();
         }
-        let mut store = TrajStore::new(config);
-        for block in varint.into_blocks().chain(packed.into_blocks()) {
-            store.append_block(block);
+        varint.save(&dir).unwrap();
+        let packed = config.with_format(BlockFormat::ForFixed);
+        let store = ShardedStore::open_with(&dir, 1, packed).unwrap();
+        assert_eq!(store.config().format, BlockFormat::ForFixed);
+        for d in (1..6u64).step_by(2) {
+            store.ingest(d, &track(d, 5), 12.5).unwrap();
         }
-        store.set_total_points(points);
-        let formats: std::collections::BTreeSet<_> =
-            store.stored_blocks().map(|b| b.format.tag()).collect();
-        assert_eq!(formats.len(), 2, "store must actually hold both formats");
         store.save(&dir).unwrap();
-        let back = TrajStore::open(&dir).unwrap();
-        let want = crate::store::StoreStats {
-            resident_bytes: 0,
-            ..store.stats()
-        };
-        assert_eq!(back.stats(), want);
+        let tags = [BlockFormat::Varint.tag(), BlockFormat::ForFixed.tag()];
+        assert_eq!(log_formats(&dir), tags.into(), "both formats on disk");
+        // The mixed log opens and answers like the store that wrote it.
+        let back = open(&dir).unwrap();
+        assert_eq!(back.stats(), reopened_stats(&store));
         for d in store.devices() {
             assert_eq!(
                 back.time_slice(d, 0.0, 100.0),

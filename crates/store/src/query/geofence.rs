@@ -234,6 +234,21 @@ struct Inner {
     persist_path: Option<PathBuf>,
 }
 
+/// The version of `geofences.json` this registry writes.  Version 2
+/// writes fence ids, `next_fence_id`, `next_seq` and cursor device ids as
+/// decimal strings, exact above 2⁵³ where a JSON number read as `f64` is
+/// not; version 1 wrote them as numbers and still loads.
+const FILE_VERSION: usize = 2;
+
+/// A persisted id or counter: a decimal string (version 2) or a number
+/// (version 1).
+fn exact_u64(value: Option<&JsonValue>) -> Option<u64> {
+    match value? {
+        JsonValue::String(text) => text.parse().ok(),
+        number => number.as_f64().map(|v| v as u64),
+    }
+}
+
 /// The standing-query registry.  One per [`crate::ShardedStore`]; safe to
 /// share across the ingest threads and the serving threads.
 #[derive(Debug)]
@@ -507,8 +522,10 @@ impl GeofenceRegistry {
     }
 
     /// Loads fences, cursors and the sequence counter from a persisted
-    /// `geofences.json`.  The returned registry has no persistence path
-    /// attached yet (call [`GeofenceRegistry::set_persist_path`]).
+    /// `geofences.json` of version 2 (ids and counters as decimal strings)
+    /// or version 1 (as numbers).  The returned registry has no
+    /// persistence path attached yet (call
+    /// [`GeofenceRegistry::set_persist_path`]).
     ///
     /// # Errors
     ///
@@ -522,19 +539,13 @@ impl GeofenceRegistry {
         let registry = Self::new();
         {
             let mut inner = registry.lock();
-            inner.next_fence_id = value
-                .get("next_fence_id")
-                .and_then(JsonValue::as_f64)
-                .map_or(1, |v| v as u64);
-            inner.next_seq = value
-                .get("next_seq")
-                .and_then(JsonValue::as_f64)
-                .map_or(1, |v| v as u64);
+            inner.next_fence_id = exact_u64(value.get("next_fence_id")).unwrap_or(1);
+            inner.next_seq = exact_u64(value.get("next_seq")).unwrap_or(1);
             if let Some(fences) = value.get("fences").and_then(JsonValue::as_array) {
                 for f in fences {
                     let num = |key: &str| f.get(key).and_then(JsonValue::as_f64);
                     let (Some(id), Some(min_x), Some(min_y), Some(max_x), Some(max_y)) = (
-                        num("id"),
+                        exact_u64(f.get("id")),
                         num("min_x"),
                         num("min_y"),
                         num("max_x"),
@@ -547,7 +558,7 @@ impl GeofenceRegistry {
                         _ => None,
                     };
                     inner.fences.push(GeofenceSpec {
-                        id: id as u64,
+                        id,
                         name: f
                             .get("name")
                             .and_then(JsonValue::as_str)
@@ -566,10 +577,10 @@ impl GeofenceRegistry {
             if let Some(cursors) = value.get("cursors").and_then(JsonValue::as_array) {
                 for c in cursors {
                     if let (Some(device), Some(blocks)) = (
-                        c.get("device").and_then(JsonValue::as_f64),
+                        exact_u64(c.get("device")),
                         c.get("blocks").and_then(JsonValue::as_usize),
                     ) {
-                        inner.cursors.insert(device as DeviceId, blocks);
+                        inner.cursors.insert(device, blocks);
                     }
                 }
             }
@@ -594,7 +605,7 @@ impl GeofenceRegistry {
             .iter()
             .map(|f| {
                 let mut pairs = vec![
-                    ("id".to_string(), JsonValue::from(f.id as f64)),
+                    ("id".to_string(), JsonValue::from(f.id.to_string())),
                     ("name".to_string(), JsonValue::from(f.name.as_str())),
                     ("min_x".to_string(), JsonValue::from(f.region.min_x)),
                     ("min_y".to_string(), JsonValue::from(f.region.min_y)),
@@ -613,15 +624,18 @@ impl GeofenceRegistry {
             .iter()
             .map(|(device, blocks)| {
                 JsonValue::object([
-                    ("device", JsonValue::from(*device as f64)),
+                    ("device", JsonValue::from(device.to_string())),
                     ("blocks", JsonValue::from(*blocks)),
                 ])
             })
             .collect();
         let doc = JsonValue::object([
-            ("version", JsonValue::from(1.0)),
-            ("next_fence_id", JsonValue::from(inner.next_fence_id as f64)),
-            ("next_seq", JsonValue::from(inner.next_seq as f64)),
+            ("version", JsonValue::from(FILE_VERSION)),
+            (
+                "next_fence_id",
+                JsonValue::from(inner.next_fence_id.to_string()),
+            ),
+            ("next_seq", JsonValue::from(inner.next_seq.to_string())),
             ("fences", JsonValue::Array(fences)),
             ("cursors", JsonValue::Array(cursors)),
         ]);
@@ -631,5 +645,40 @@ impl GeofenceRegistry {
         if write.is_err() {
             self.persist_errors.inc();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_above_2_pow_53_survive_a_persist_and_load() {
+        const BIG: u64 = (1 << 53) + 1;
+        let path = std::env::temp_dir().join(format!("traj-geofence-{}.json", std::process::id()));
+        let registry = GeofenceRegistry::new();
+        let region = BoundingBox {
+            min_x: 0.0,
+            min_y: 0.0,
+            max_x: 10.0,
+            max_y: 10.0,
+        };
+        {
+            let mut inner = registry.lock();
+            inner.next_fence_id = BIG;
+            inner.next_seq = BIG + 2;
+            inner.cursors.insert(BIG, 3);
+            inner.cursors.insert(BIG + 2, 4);
+        }
+        assert_eq!(registry.register("far", region, None), Ok(BIG));
+        registry.set_persist_path(path.clone());
+        let back = GeofenceRegistry::load(&path).unwrap();
+        let inner = back.lock();
+        assert_eq!((inner.next_fence_id, inner.next_seq), (BIG + 1, BIG + 2));
+        assert_eq!(inner.fences[0].id, BIG);
+        let mut cursors: Vec<_> = inner.cursors.iter().map(|(&d, &b)| (d, b)).collect();
+        cursors.sort_unstable();
+        assert_eq!(cursors, [(BIG, 3), (BIG + 2, 4)]);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -37,7 +37,7 @@
 //! when its per-point bound cannot improve any running minimum — a
 //! condition that provably leaves the exact distance unchanged, so the
 //! pruned search returns *bit-identical* distances to the brute-force
-//! reference ([`crate::TrajStore::knn_bruteforce`]).
+//! reference ([`crate::ShardedStore::knn_bruteforce`]).
 //!
 //! # Dropping a device part-way
 //!
@@ -294,20 +294,13 @@ pub(crate) fn search<S: Deref<Target = TrajStore>>(
 }
 
 impl TrajStore {
-    /// k-nearest-trajectory search: the `k` devices whose stored
-    /// trajectories are closest to the query point set, by mean
-    /// min-distance-to-segment (see the [module docs](self) for the
-    /// metric and the pruning math).  Ties are broken by device id.
-    ///
-    /// Candidate devices and blocks are pruned on resident metadata
-    /// alone; the returned distances are exactly those of
-    /// [`TrajStore::knn_bruteforce`].
-    pub fn knn(&self, query: &[Point], k: usize) -> KnnResult {
-        self.with_arena(|arena| search([self], query, k, arena))
-    }
-
-    /// Searches this store's devices into the running `result`, pruning
-    /// against its current k-th distance.
+    /// k-nearest-trajectory search over this shard's devices: the `k`
+    /// devices whose stored trajectories are closest to the query point
+    /// set, by mean min-distance-to-segment (see the [module docs](self)
+    /// for the metric and the pruning math), folded into the running
+    /// `result` and pruned against its current k-th distance.  Ties are
+    /// broken by device id; the distances are exactly those of
+    /// [`TrajStore::bruteforce_into`].
     fn knn_into(
         &self,
         query: &[Point],
@@ -454,16 +447,10 @@ impl TrajStore {
         Some(current.iter().sum::<f64>() / width as f64)
     }
 
-    /// Brute-force kNN reference: decodes every block of every device.
-    /// Same metric and tie-breaking as [`TrajStore::knn`]; used to verify
-    /// that pruning never changes an answer.
-    pub fn knn_bruteforce(&self, query: &[Point], k: usize) -> KnnResult {
-        let mut result = KnnResult::default();
-        self.bruteforce_into(query, k, &mut result);
-        result
-    }
-
-    /// Scores every device of this store into the running `result`.
+    /// Brute-force kNN reference: scores every device of this shard into
+    /// the running `result`, decoding every block.  Same metric and
+    /// tie-breaking as [`TrajStore::knn_into`]; used to verify that pruning
+    /// never changes an answer.
     pub(crate) fn bruteforce_into(&self, query: &[Point], k: usize, result: &mut KnnResult) {
         if k == 0 || query.is_empty() {
             return;
@@ -521,6 +508,7 @@ mod tests {
         store
             .ingest(
                 device,
+                None,
                 &SimplifiedTrajectory::new(segments, corners.len()),
                 10.0,
             )
@@ -547,7 +535,7 @@ mod tests {
             let mut reference = KnnResult::default();
             first.bruteforce_into(&query, 1, &mut reference);
             second.bruteforce_into(&query, 1, &mut reference);
-            let answer = first.with_arena(|arena| search([&first, &second], &query, 1, arena));
+            let answer = search([&first, &second], &query, 1, &mut DecodeArena::default());
             assert_eq!(answer.neighbors, reference.neighbors, "{query:?}");
             assert_eq!(answer.neighbors[0].device, 3, "{query:?}");
             assert_eq!(answer.stats.devices_pruned, 0, "{query:?}");

@@ -12,7 +12,7 @@
 //!
 //! - [`GeofenceRegistry`] — standing region/time alerts evaluated
 //!   incrementally as live ingest seals blocks ([`geofence`]).
-//! - [`TrajStore::knn`](crate::TrajStore::knn) — k-nearest-trajectory
+//! - [`ShardedStore::knn`](crate::ShardedStore::knn) — k-nearest-trajectory
 //!   search with a quantization-slack lower bound that prunes whole devices and
 //!   blocks before any payload decode ([`knn`]).
 

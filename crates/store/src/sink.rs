@@ -1,101 +1,39 @@
 //! Pipeline integration: compress a fleet straight into a store.
 //!
-//! [`StoreSink`] implements [`traj_pipeline::ResultSink`], so the parallel
-//! fleet pipeline can hand every closed stream's compressed output
-//! directly to the storage engine as it finishes — no intermediate
-//! collection of the whole fleet.  [`SharedStoreSink`] is the same sink
-//! over a concurrently shared [`ShardedStore`] (the `trajsimp serve`
-//! live-ingest path); both are instances of one generic implementation,
-//! [`FleetStoreSink`], over an [`IngestTarget`].
-//! [`compress_fleet_into_store`] / [`compress_fleet_into_shared_store`]
-//! are the one-call drivers.
+//! [`FleetStoreSink`] implements [`traj_pipeline::ResultSink`], so the
+//! parallel fleet pipeline can hand every closed stream's compressed
+//! output directly to a shared [`ShardedStore`] as it finishes — no
+//! intermediate collection of the whole fleet, and because the store
+//! locks per shard internally, ingest through the sink runs concurrently
+//! with query threads reading the same store.
+//! [`compress_fleet_into_shared_store`] is the one-call driver.
 
-use traj_model::{SimplifiedTrajectory, Trajectory};
+use traj_model::Trajectory;
 use traj_pipeline::{
     compress_fleet_with_sink, DeviceId, FleetAlgorithm, FleetResult, PipelineConfig,
     PipelineReport, ResultSink,
 };
 
 use crate::shard::ShardedStore;
-use crate::store::{StoreError, TrajStore};
 
-/// Where a sink's accepted streams land.  Implemented by the single-owner
-/// [`TrajStore`] (exclusive reference) and the concurrently shared
-/// [`ShardedStore`] (shared reference, interior locking) so the sink and
-/// driver logic exist exactly once.
-pub trait IngestTarget {
-    /// Ingests one stream, with original points when available (exact
-    /// skipping metadata) and the shape-point approximation otherwise.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrajStore::ingest`] / [`TrajStore::ingest_with_original`].
-    fn ingest_stream(
-        &mut self,
-        device: DeviceId,
-        original: Option<&[traj_geo::Point]>,
-        simplified: &SimplifiedTrajectory,
-        zeta: f64,
-    ) -> Result<usize, StoreError>;
-}
-
-impl IngestTarget for &mut TrajStore {
-    fn ingest_stream(
-        &mut self,
-        device: DeviceId,
-        original: Option<&[traj_geo::Point]>,
-        simplified: &SimplifiedTrajectory,
-        zeta: f64,
-    ) -> Result<usize, StoreError> {
-        match original {
-            Some(points) => self.ingest_with_original(device, points, simplified, zeta),
-            None => self.ingest(device, simplified, zeta),
-        }
-    }
-}
-
-impl IngestTarget for &ShardedStore {
-    fn ingest_stream(
-        &mut self,
-        device: DeviceId,
-        original: Option<&[traj_geo::Point]>,
-        simplified: &SimplifiedTrajectory,
-        zeta: f64,
-    ) -> Result<usize, StoreError> {
-        match original {
-            Some(points) => self.ingest_with_original(device, points, simplified, zeta),
-            None => self.ingest(device, simplified, zeta),
-        }
-    }
-}
-
-/// A [`ResultSink`] that ingests every successful stream result into an
-/// [`IngestTarget`], collecting per-device failures instead of aborting
-/// the whole fleet run.  Use the [`StoreSink`] / [`SharedStoreSink`]
-/// aliases.
-pub struct FleetStoreSink<'a, T> {
-    target: T,
+/// A [`ResultSink`] that ingests every successful stream result into a
+/// [`ShardedStore`], collecting per-device failures instead of aborting
+/// the whole fleet run.  Each accepted stream locks only the one shard
+/// it hashes to.
+pub struct FleetStoreSink<'a> {
+    store: &'a ShardedStore,
     zeta: f64,
     originals: std::collections::HashMap<DeviceId, &'a [traj_geo::Point]>,
     ingested: usize,
     failures: Vec<(DeviceId, String)>,
 }
 
-/// [`FleetStoreSink`] into a single-owner [`TrajStore`].
-pub type StoreSink<'a> = FleetStoreSink<'a, &'a mut TrajStore>;
-
-/// [`FleetStoreSink`] into a shared [`ShardedStore`] — because the store
-/// locks per shard internally, ingest through this sink runs concurrently
-/// with query threads reading the same store; each accepted stream locks
-/// only the one shard it hashes to.
-pub type SharedStoreSink<'a> = FleetStoreSink<'a, &'a ShardedStore>;
-
-impl<'a, T: IngestTarget> FleetStoreSink<'a, T> {
-    /// Creates a sink writing into `target`, recording `zeta` (the error
+impl<'a> FleetStoreSink<'a> {
+    /// Creates a sink writing into `store`, recording `zeta` (the error
     /// bound the fleet is being compressed with) on every block.
-    pub fn new(target: T, zeta: f64) -> Self {
+    pub fn new(store: &'a ShardedStore, zeta: f64) -> Self {
         Self {
-            target,
+            store,
             zeta,
             originals: std::collections::HashMap::new(),
             ingested: 0,
@@ -105,7 +43,7 @@ impl<'a, T: IngestTarget> FleetStoreSink<'a, T> {
 
     /// Registers the original trajectories, so every ingest can extend
     /// its block metadata over the actual data points
-    /// ([`TrajStore::ingest_with_original`]) — exact skipping metadata
+    /// ([`ShardedStore::ingest_with_original`]) — exact skipping metadata
     /// instead of the shape-point approximation.
     pub fn with_originals(mut self, fleet: &'a [(DeviceId, Trajectory)]) -> Self {
         self.originals = fleet
@@ -128,19 +66,19 @@ impl<'a, T: IngestTarget> FleetStoreSink<'a, T> {
 
     fn ingest(&mut self, result: &FleetResult) -> Result<(), String> {
         let simplified = result.output.as_ref().map_err(|e| e.to_string())?;
-        self.target
-            .ingest_stream(
-                result.device,
-                self.originals.get(&result.device).copied(),
-                simplified,
-                self.zeta,
-            )
-            .map_err(|e| e.to_string())?;
+        match self.originals.get(&result.device) {
+            Some(points) => {
+                self.store
+                    .ingest_with_original(result.device, points, simplified, self.zeta)
+            }
+            None => self.store.ingest(result.device, simplified, self.zeta),
+        }
+        .map_err(|e| e.to_string())?;
         Ok(())
     }
 }
 
-impl<T: IngestTarget> ResultSink for FleetStoreSink<'_, T> {
+impl ResultSink for FleetStoreSink<'_> {
     fn accept(&mut self, result: FleetResult) {
         match self.ingest(&result) {
             Ok(()) => self.ingested += 1,
@@ -149,42 +87,11 @@ impl<T: IngestTarget> ResultSink for FleetStoreSink<'_, T> {
     }
 }
 
-/// The shared driver body behind both `compress_fleet_into_*` functions.
-fn compress_fleet_into<T: IngestTarget>(
-    fleet: &[(DeviceId, Trajectory)],
-    config: &PipelineConfig,
-    algorithm: &FleetAlgorithm,
-    target: T,
-) -> Result<(PipelineReport, usize), String> {
-    let mut sink = FleetStoreSink::new(target, config.epsilon).with_originals(fleet);
-    let report = compress_fleet_with_sink(fleet, config, algorithm, &mut sink);
-    if let Some((device, reason)) = sink.failures().first() {
-        return Err(format!("device {device}: {reason}"));
-    }
-    let ingested = sink.ingested();
-    Ok((report, ingested))
-}
-
 /// Compresses `fleet` through the parallel pipeline and ingests every
-/// stream's output into `store` as it completes.  Returns the pipeline's
-/// throughput report and the number of streams ingested.
-///
-/// # Errors
-///
-/// The first per-device failure as a human-readable message (the store is
-/// left with everything that ingested cleanly before the error).
-pub fn compress_fleet_into_store(
-    fleet: &[(DeviceId, Trajectory)],
-    config: &PipelineConfig,
-    algorithm: &FleetAlgorithm,
-    store: &mut TrajStore,
-) -> Result<(PipelineReport, usize), String> {
-    compress_fleet_into(fleet, config, algorithm, store)
-}
-
-/// [`compress_fleet_into_store`] against a shared [`ShardedStore`] — the
-/// live-ingest path of `trajsimp serve`, safe to run while query threads
-/// read the same store.
+/// stream's output into `store` as it completes — safe to run while
+/// query threads read the same store (the live-ingest path of `trajsimp
+/// serve`).  Returns the pipeline's throughput report and the number of
+/// streams ingested.
 ///
 /// # Errors
 ///
@@ -196,12 +103,19 @@ pub fn compress_fleet_into_shared_store(
     algorithm: &FleetAlgorithm,
     store: &ShardedStore,
 ) -> Result<(PipelineReport, usize), String> {
-    compress_fleet_into(fleet, config, algorithm, store)
+    let mut sink = FleetStoreSink::new(store, config.epsilon).with_originals(fleet);
+    let report = compress_fleet_with_sink(fleet, config, algorithm, &mut sink);
+    if let Some((device, reason)) = sink.failures().first() {
+        return Err(format!("device {device}: {reason}"));
+    }
+    let ingested = sink.ingested();
+    Ok((report, ingested))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoreConfig;
     use traj_geo::Point;
 
     fn fleet(n: usize, points: usize) -> Vec<(DeviceId, Trajectory)> {
@@ -231,9 +145,9 @@ mod tests {
         let config = PipelineConfig::new(20.0)
             .with_workers(4)
             .with_batch_size(64);
-        let mut store = TrajStore::default();
+        let store = ShardedStore::new(StoreConfig::default(), 4);
         let (report, ingested) =
-            compress_fleet_into_store(&fleet, &config, &algorithm, &mut store).unwrap();
+            compress_fleet_into_shared_store(&fleet, &config, &algorithm, &store).unwrap();
         assert_eq!(ingested, 25);
         assert_eq!(report.total_streams, 25);
         let stats = store.stats();
@@ -253,24 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_sink_matches_exclusive_sink() {
-        let fleet = fleet(12, 200);
-        let algorithm = FleetAlgorithm::by_name("operb").unwrap();
-        let config = PipelineConfig::new(20.0)
-            .with_workers(2)
-            .with_batch_size(64);
-        let mut exclusive = TrajStore::default();
-        compress_fleet_into_store(&fleet, &config, &algorithm, &mut exclusive).unwrap();
-        let shared = ShardedStore::with_default_config(4);
-        let (_, ingested) =
-            compress_fleet_into_shared_store(&fleet, &config, &algorithm, &shared).unwrap();
-        assert_eq!(ingested, 12);
-        assert_eq!(shared.stats(), exclusive.stats());
-    }
-
-    #[test]
     fn sink_records_failures_without_aborting() {
-        let mut store = TrajStore::default();
+        let store = ShardedStore::new(StoreConfig::default(), 1);
         // Pre-fill device 3 with data ending at t = 1000 so the fleet's
         // t ∈ [0, 99] ingest for that device is out of order.
         let late = Trajectory::new_unchecked(vec![
@@ -279,10 +177,10 @@ mod tests {
         ]);
         let algorithm = FleetAlgorithm::by_name("operb").unwrap();
         let config = PipelineConfig::new(20.0).with_workers(2);
-        compress_fleet_into_store(&[(3, late)], &config, &algorithm, &mut store).unwrap();
+        compress_fleet_into_shared_store(&[(3, late)], &config, &algorithm, &store).unwrap();
 
         let fleet = fleet(5, 100);
-        let mut sink = StoreSink::new(&mut store, 20.0);
+        let mut sink = FleetStoreSink::new(&store, 20.0);
         let report = compress_fleet_with_sink(&fleet, &config, &algorithm, &mut sink);
         assert_eq!(report.total_streams, 5);
         assert_eq!(sink.ingested(), 4);
@@ -291,7 +189,8 @@ mod tests {
         assert!(sink.failures()[0].1.contains("out-of-order"));
         // And the driver surfaces a failure as an error (re-ingesting the
         // same fleet is out of order for every already-stored device).
-        let err = compress_fleet_into_store(&fleet, &config, &algorithm, &mut store).unwrap_err();
+        let err =
+            compress_fleet_into_shared_store(&fleet, &config, &algorithm, &store).unwrap_err();
         assert!(err.contains("out-of-order"), "{err}");
     }
 }

@@ -14,7 +14,11 @@ use crate::index::{BlockRef, GridIndex};
 use crate::pager::{ArenaPool, CacheStats, Pager};
 use crate::wal::DurabilityMode;
 
-/// Tuning knobs of a [`TrajStore`].
+/// Tuning knobs of a [`crate::ShardedStore`].  The layout fields
+/// (`block_segments`, `cell_size`, `codec`) are written to the manifest
+/// and always come from it when a store is reopened; the runtime fields
+/// (`format`, `durability`, `cache_bytes`) are never persisted and always
+/// come from the caller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoreConfig {
     /// Maximum number of segments per sealed block.  Smaller blocks skip
@@ -234,6 +238,16 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
+    /// Adds another shard's counters to these.
+    pub(crate) fn add(&mut self, other: &StoreStats) {
+        self.devices += other.devices;
+        self.blocks += other.blocks;
+        self.segments += other.segments;
+        self.points += other.points;
+        self.stored_bytes += other.stored_bytes;
+        self.resident_bytes += other.resident_bytes;
+    }
+
     /// Stored bytes per original point (the paper's storage argument in
     /// one number; raw `(x, y, t)` as three `f64` is 24 bytes/point).
     pub fn bytes_per_point(&self) -> f64 {
@@ -404,7 +418,8 @@ pub(crate) struct PreparedIngest {
     pub(crate) original_len: usize,
 }
 
-/// The compressed trajectory storage engine.
+/// One shard of a [`crate::ShardedStore`]: the storage engine for the
+/// devices that hash to it.
 ///
 /// Simplified trajectories are ingested per device, encoded into compact
 /// binary blocks ([`traj_model::codec`]), appended to per-device logs and
@@ -412,32 +427,8 @@ pub(crate) struct PreparedIngest {
 /// compressed representation, decoding only the blocks whose metadata
 /// overlaps the query — every block that can be proven irrelevant from
 /// its bounding box and time interval is skipped.
-///
-/// ```
-/// use traj_geo::DirectedSegment;
-/// use traj_model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
-/// use traj_store::TrajStore;
-///
-/// let trajectory = Trajectory::from_xy(&[(0.0, 0.0), (50.0, 1.0), (100.0, 0.0)]);
-/// let simplified = SimplifiedTrajectory::new(
-///     vec![SimplifiedSegment::new(
-///         DirectedSegment::new(trajectory.first(), trajectory.last()),
-///         0,
-///         2,
-///     )],
-///     trajectory.len(),
-/// );
-///
-/// let mut store = TrajStore::default();
-/// store.ingest(17, &simplified, 5.0).unwrap();
-///
-/// let slice = store.time_slice(17, 0.5, 1.5);
-/// assert_eq!(slice.segments.len(), 1);
-/// let position = store.position_at(17, 1.0).unwrap();
-/// assert!(position.x > 0.0 && position.x < 100.0);
-/// ```
 #[derive(Debug)]
-pub struct TrajStore {
+pub(crate) struct TrajStore {
     config: StoreConfig,
     logs: BTreeMap<DeviceId, DeviceLog>,
     index: GridIndex,
@@ -454,34 +445,9 @@ pub struct TrajStore {
     resident_payload_bytes: usize,
 }
 
-impl Clone for TrajStore {
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            logs: self.logs.clone(),
-            index: self.index.clone(),
-            // The clone pages through the same pool (same underlying log
-            // file) but warms its own arena pool.
-            pager: self.pager.clone(),
-            arenas: ArenaPool::default(),
-            total_blocks: self.total_blocks,
-            total_segments: self.total_segments,
-            total_points: self.total_points,
-            stored_bytes: self.stored_bytes,
-            resident_payload_bytes: self.resident_payload_bytes,
-        }
-    }
-}
-
-impl Default for TrajStore {
-    fn default() -> Self {
-        Self::new(StoreConfig::default())
-    }
-}
-
 impl TrajStore {
-    /// Creates an empty store.
-    pub fn new(config: StoreConfig) -> Self {
+    /// Creates an empty shard.
+    pub(crate) fn new(config: StoreConfig) -> Self {
         let index = GridIndex::new(config.cell_size);
         Self {
             config,
@@ -497,22 +463,8 @@ impl TrajStore {
         }
     }
 
-    /// The store's configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
-    /// Switches the block format used for *subsequent* ingests.  Existing
-    /// blocks keep the format they were written with (each block record
-    /// carries its own format tag), so a store may legitimately hold a
-    /// mix of formats — e.g. after changing the configured default on an
-    /// archive that already has data.
-    pub fn set_format(&mut self, format: BlockFormat) {
-        self.config.format = format;
-    }
-
     /// Aggregate statistics.
-    pub fn stats(&self) -> StoreStats {
+    pub(crate) fn stats(&self) -> StoreStats {
         StoreStats {
             devices: self.logs.len(),
             blocks: self.total_blocks,
@@ -523,32 +475,32 @@ impl TrajStore {
         }
     }
 
-    /// Exact memory accounting: index footprint,
-    /// decode-arena reuse and (for lazily opened stores) buffer-pool
-    /// counters.
-    pub fn memory_stats(&self) -> MemoryStats {
+    /// Exact memory accounting of this shard: index footprint and
+    /// decode-arena reuse.  The buffer pool is shared by every shard, so
+    /// the store reports its counters once (`cache` stays `None` here).
+    pub(crate) fn memory_stats(&self) -> MemoryStats {
         let (arena_creates, arena_reuses) = self.arenas.counters();
         MemoryStats {
             index_bytes: self.index.approx_bytes(),
             arena_creates,
             arena_reuses,
-            cache: self.pager.as_deref().map(Pager::stats),
+            cache: None,
         }
     }
 
     /// The device ids present in the store, ascending.
-    pub fn devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
+    pub(crate) fn devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
         self.logs.keys().copied()
     }
 
     /// Number of sealed blocks across all devices.
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.total_blocks
     }
 
     /// The block metadata of one device's log, in append order (empty for
     /// unknown devices).
-    pub fn block_metas(&self, device: DeviceId) -> Vec<BlockMeta> {
+    pub(crate) fn block_metas(&self, device: DeviceId) -> Vec<BlockMeta> {
         self.logs
             .get(&device)
             .map(|log| log.blocks.iter().map(|b| b.meta).collect())
@@ -556,7 +508,7 @@ impl TrajStore {
     }
 
     /// Number of sealed blocks in `device`'s log (0 for unknown devices).
-    pub fn device_block_count(&self, device: DeviceId) -> usize {
+    pub(crate) fn device_block_count(&self, device: DeviceId) -> usize {
         self.logs.get(&device).map_or(0, |log| log.blocks.len())
     }
 
@@ -574,14 +526,6 @@ impl TrajStore {
         self.logs
             .get(&device)
             .map_or(&[], |log| log.blocks.as_slice())
-    }
-
-    /// Runs `f` with one pooled decode arena.
-    pub(crate) fn with_arena<R>(&self, f: impl FnOnce(&mut DecodeArena) -> R) -> R {
-        let mut arena = self.arenas.checkout();
-        let out = f(&mut arena);
-        self.arenas.checkin(arena);
-        out
     }
 
     /// Runs `f` over the decoded segments of one stored block (by its
@@ -602,64 +546,6 @@ impl TrajStore {
         Some(out)
     }
 
-    /// Ingests one simplified trajectory for `device`, under the error
-    /// bound `zeta` it was simplified with.  The representation is chopped
-    /// into blocks of at most [`StoreConfig::block_segments`] segments,
-    /// encoded, appended to the device's log and indexed.  Returns the
-    /// number of blocks appended.
-    ///
-    /// Block skipping metadata is derived from the shape points alone,
-    /// which under-covers responsibility tails absorbed by OPERB's
-    /// optimization 5; when the original points are still at hand, prefer
-    /// [`TrajStore::ingest_with_original`], whose metadata is exact.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::OutOfOrder`] when the new data starts before the
-    /// device's stored log ends (per-device logs are append-only in
-    /// time); [`StoreError::Codec`] when a coordinate cannot be encoded.
-    pub fn ingest(
-        &mut self,
-        device: DeviceId,
-        simplified: &SimplifiedTrajectory,
-        zeta: f64,
-    ) -> Result<usize, StoreError> {
-        self.ingest_impl(device, None, simplified, zeta)
-    }
-
-    /// [`TrajStore::ingest`], additionally extending every block's
-    /// skipping metadata over the original data points the block is
-    /// responsible for — the exact min/max-over-actual-data metadata the
-    /// no-false-negative query guarantees rest on.  This is the path the
-    /// pipeline sink uses: at ingest time the original points are still
-    /// in memory and extending the metadata is a single pass over them.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TrajStore::ingest`].
-    pub fn ingest_with_original(
-        &mut self,
-        device: DeviceId,
-        original: &[Point],
-        simplified: &SimplifiedTrajectory,
-        zeta: f64,
-    ) -> Result<usize, StoreError> {
-        self.ingest_impl(device, Some(original), simplified, zeta)
-    }
-
-    fn ingest_impl(
-        &mut self,
-        device: DeviceId,
-        original: Option<&[Point]>,
-        simplified: &SimplifiedTrajectory,
-        zeta: f64,
-    ) -> Result<usize, StoreError> {
-        match self.prepare_ingest(device, original, simplified, zeta)? {
-            Some(prepared) => Ok(self.apply_prepared(prepared)),
-            None => Ok(0),
-        }
-    }
-
     /// The validation + encoding half of an ingest, without mutating the
     /// store: checks append order, chops into blocks, encodes payloads and
     /// seals metadata.  `None` for an empty trajectory (a no-op ingest).
@@ -671,7 +557,7 @@ impl TrajStore {
     ///
     /// # Errors
     ///
-    /// As for [`TrajStore::ingest`].
+    /// As for [`crate::ShardedStore::ingest`].
     pub(crate) fn prepare_ingest(
         &self,
         device: DeviceId,
@@ -734,6 +620,23 @@ impl TrajStore {
         }))
     }
 
+    /// Prepares and applies an ingest in one step — what the store's own
+    /// unit tests ingest through (the store ingests under its WAL and
+    /// geofences, see [`crate::ShardedStore::ingest`]).
+    #[cfg(test)]
+    pub(crate) fn ingest(
+        &mut self,
+        device: DeviceId,
+        original: Option<&[Point]>,
+        simplified: &SimplifiedTrajectory,
+        zeta: f64,
+    ) -> Result<usize, StoreError> {
+        match self.prepare_ingest(device, original, simplified, zeta)? {
+            Some(prepared) => Ok(self.apply_prepared(prepared)),
+            None => Ok(0),
+        }
+    }
+
     /// The mutation half of an ingest: appends a prepared ingest's sealed
     /// blocks and accounts its points.  Infallible — every check happened
     /// in [`TrajStore::prepare_ingest`].  Returns the number of blocks
@@ -770,7 +673,7 @@ impl TrajStore {
         });
     }
 
-    pub(crate) fn append_stored(&mut self, block: StoredBlock) {
+    fn append_stored(&mut self, block: StoredBlock) {
         let device = block.meta.device;
         let log = self.logs.entry(device).or_default();
         self.index.insert(
@@ -790,7 +693,7 @@ impl TrajStore {
     }
 
     /// Attaches the buffer pool disk-backed payloads are fetched through
-    /// (persistence loader and resharding).
+    /// (the open path; every shard of a store shares one pool).
     pub(crate) fn set_pager(&mut self, pager: Arc<Pager>) {
         self.pager = Some(pager);
     }
@@ -812,32 +715,6 @@ impl TrajStore {
         self.logs.values().flat_map(|log| log.blocks.iter())
     }
 
-    /// Materializes one stored block (fetching a disk-backed payload
-    /// through the pager, bypassing the cache).
-    #[cfg(test)]
-    pub(crate) fn materialize(&self, block: &StoredBlock) -> Result<Block, StoreError> {
-        let payload = match &block.payload {
-            PayloadSlot::Resident(bytes) => bytes.clone(),
-            PayloadSlot::Disk { offset, len } => self
-                .pager
-                .as_ref()
-                .expect("disk-backed block without a pager")
-                .read_raw(*offset, *len)?,
-        };
-        Ok(Block {
-            meta: block.meta,
-            format: block.format,
-            payload,
-        })
-    }
-
-    /// Every block in (device, append-order) order, payloads materialized
-    /// — diagnostics and format-migration paths, not queries.
-    #[cfg(test)]
-    pub(crate) fn blocks_materialized(&self) -> Result<Vec<Block>, StoreError> {
-        self.stored_blocks().map(|b| self.materialize(b)).collect()
-    }
-
     /// Serializes every block as log records onto `out` in (device,
     /// append-order) order — the save path.  Disk-backed payloads are
     /// streamed straight from the log file without entering the cache.
@@ -857,30 +734,6 @@ impl TrajStore {
             }
         }
         Ok(())
-    }
-
-    /// Consumes the store, yielding every block in (device, append-order)
-    /// order, materializing payloads — kept for tests that re-pack
-    /// in-memory stores.
-    #[cfg(test)]
-    pub(crate) fn into_blocks(self) -> impl Iterator<Item = Block> {
-        let blocks = self
-            .blocks_materialized()
-            .expect("materialize store blocks");
-        blocks.into_iter()
-    }
-
-    /// Consumes the store, yielding its pager, point counter and every
-    /// stored block in (device, append-order) order without copying
-    /// payloads — the resharding path.
-    pub(crate) fn into_stored(
-        self,
-    ) -> (Option<Arc<Pager>>, usize, impl Iterator<Item = StoredBlock>) {
-        (
-            self.pager,
-            self.total_points,
-            self.logs.into_values().flat_map(|log| log.blocks),
-        )
     }
 
     /// Decodes a stored block into a reusable arena, dispatching on the
@@ -926,9 +779,9 @@ impl TrajStore {
     /// The stored error bound carries through: every original point with
     /// a timestamp in `[t0, t1]` is within `ζ + quantization slack` of
     /// some returned segment (for data ingested through
-    /// [`TrajStore::ingest_with_original`], whose block metadata is
+    /// [`crate::ShardedStore::ingest_with_original`], whose block metadata is
     /// exact).
-    pub fn time_slice(&self, device: DeviceId, t0: f64, t1: f64) -> TimeSlice {
+    pub(crate) fn time_slice(&self, device: DeviceId, t0: f64, t1: f64) -> TimeSlice {
         let mut query_span = traj_obs::span("time_slice");
         let mut slice = TimeSlice {
             segments: Vec::new(),
@@ -984,11 +837,15 @@ impl TrajStore {
     /// owns points past its end (an absorbing one) is returned, too, when
     /// its own ζ-strip meets the block's exact box inside the window
     /// (see `strip_hits`).  So for data ingested through
-    /// [`TrajStore::ingest_with_original`] any original point inside the
+    /// [`crate::ShardedStore::ingest_with_original`] any original point inside the
     /// window is within `ζ + slack` of some returned segment of its
     /// device — no false negatives with respect to the stored bound —
     /// and the answer grows with the window, not with the block size.
-    pub fn window_query(&self, window: &BoundingBox, time: Option<(f64, f64)>) -> WindowQuery {
+    pub(crate) fn window_query(
+        &self,
+        window: &BoundingBox,
+        time: Option<(f64, f64)>,
+    ) -> WindowQuery {
         let mut query_span = traj_obs::span("window_query");
         let mut query = WindowQuery {
             matches: Vec::new(),
@@ -1076,7 +933,7 @@ impl TrajStore {
     /// interpolated position can deviate beyond ζ there.  Stores built
     /// from `raw-operb` output (optimization 5 off) do not have such
     /// runs and interpolate within the bound everywhere.
-    pub fn position_at(&self, device: DeviceId, t: f64) -> Option<Point> {
+    pub(crate) fn position_at(&self, device: DeviceId, t: f64) -> Option<Point> {
         let _query_span = traj_obs::span("position_at");
         let log = self.logs.get(&device)?;
         let idx = {
@@ -1273,7 +1130,7 @@ mod tests {
     fn ingest_splits_into_blocks_and_counts() {
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(4));
         let simplified = straight_line(0.0, 0.0, 10);
-        let blocks = store.ingest(1, &simplified, 5.0).unwrap();
+        let blocks = store.ingest(1, None, &simplified, 5.0).unwrap();
         assert_eq!(blocks, 3); // 4 + 4 + 2 segments
         let stats = store.stats();
         assert_eq!(stats.devices, 1);
@@ -1292,9 +1149,9 @@ mod tests {
 
     #[test]
     fn empty_ingest_is_a_noop() {
-        let mut store = TrajStore::default();
+        let mut store = TrajStore::new(StoreConfig::default());
         let n = store
-            .ingest(1, &SimplifiedTrajectory::new(vec![], 1), 5.0)
+            .ingest(1, None, &SimplifiedTrajectory::new(vec![], 1), 5.0)
             .unwrap();
         assert_eq!(n, 0);
         assert_eq!(store.stats().blocks, 0);
@@ -1302,21 +1159,29 @@ mod tests {
 
     #[test]
     fn out_of_order_ingest_is_rejected() {
-        let mut store = TrajStore::default();
-        store.ingest(1, &straight_line(0.0, 100.0, 3), 5.0).unwrap();
+        let mut store = TrajStore::new(StoreConfig::default());
+        store
+            .ingest(1, None, &straight_line(0.0, 100.0, 3), 5.0)
+            .unwrap();
         let err = store
-            .ingest(1, &straight_line(0.0, 0.0, 3), 5.0)
+            .ingest(1, None, &straight_line(0.0, 0.0, 3), 5.0)
             .unwrap_err();
         assert!(matches!(err, StoreError::OutOfOrder { device: 1, .. }));
         // Later data appends fine; a different device is independent.
-        store.ingest(1, &straight_line(0.0, 130.0, 2), 5.0).unwrap();
-        store.ingest(2, &straight_line(50.0, 0.0, 2), 5.0).unwrap();
+        store
+            .ingest(1, None, &straight_line(0.0, 130.0, 2), 5.0)
+            .unwrap();
+        store
+            .ingest(2, None, &straight_line(50.0, 0.0, 2), 5.0)
+            .unwrap();
     }
 
     #[test]
     fn time_slice_skips_blocks_and_filters_segments() {
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(2));
-        store.ingest(1, &straight_line(0.0, 0.0, 12), 5.0).unwrap(); // 6 blocks, t ∈ [0, 120]
+        store
+            .ingest(1, None, &straight_line(0.0, 0.0, 12), 5.0)
+            .unwrap(); // 6 blocks, t ∈ [0, 120]
         let slice = store.time_slice(1, 41.0, 59.0);
         assert_eq!(slice.stats.blocks_in_scope, 6);
         // t ∈ [41, 59] touches segments [40,50] and [50,60], both in the
@@ -1342,7 +1207,7 @@ mod tests {
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(4));
         for d in 0..20u64 {
             store
-                .ingest(d, &straight_line(d as f64 * 1000.0, 0.0, 12), 5.0)
+                .ingest(d, None, &straight_line(d as f64 * 1000.0, 0.0, 12), 5.0)
                 .unwrap();
         }
         // A window around y = 3000 m, x ∈ [150, 450]: only device 3.
@@ -1363,7 +1228,9 @@ mod tests {
     #[test]
     fn window_query_with_time_filter() {
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(2));
-        store.ingest(1, &straight_line(0.0, 0.0, 12), 5.0).unwrap();
+        store
+            .ingest(1, None, &straight_line(0.0, 0.0, 12), 5.0)
+            .unwrap();
         // Spatial window covers the whole path; time filter keeps t ∈ [0, 15].
         let q = store.window_query(&window(-10.0, -10.0, 1300.0, 10.0), Some((0.0, 15.0)));
         assert_eq!(q.matches.len(), 1);
@@ -1374,7 +1241,9 @@ mod tests {
     #[test]
     fn position_interpolates_between_shape_points() {
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(3));
-        store.ingest(1, &straight_line(7.0, 0.0, 9), 5.0).unwrap();
+        store
+            .ingest(1, None, &straight_line(7.0, 0.0, 9), 5.0)
+            .unwrap();
         // At t = 25 the device is halfway through the third segment:
         // x = 250 m, y = 7.
         let p = store.position_at(1, 25.0).unwrap();
@@ -1396,7 +1265,9 @@ mod tests {
         // every interior boundary instant belongs to two blocks' closed
         // intervals (t_max of one, t_min of the next).
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(2));
-        store.ingest(1, &straight_line(0.0, 0.0, 6), 5.0).unwrap();
+        store
+            .ingest(1, None, &straight_line(0.0, 0.0, 6), 5.0)
+            .unwrap();
         for boundary in [20.0, 40.0] {
             // `partition_point(t_max < t)` picks the *earlier* block at
             // the shared instant; both blocks hold the same shape point
@@ -1438,7 +1309,7 @@ mod tests {
         );
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(2));
         store
-            .ingest(1, &SimplifiedTrajectory::new(vec![a, b, c], 4), 5.0)
+            .ingest(1, None, &SimplifiedTrajectory::new(vec![a, b, c], 4), 5.0)
             .unwrap();
         // At the duplicated instant the stored data genuinely holds two
         // positions; the answer is the first in stream order — the limit
@@ -1453,7 +1324,9 @@ mod tests {
         // No phantom coverage between blocks when the log has a real
         // time gap: a second ingest starting later leaves t in the gap
         // unanswered.
-        store.ingest(1, &straight_line(0.0, 100.0, 2), 5.0).unwrap();
+        store
+            .ingest(1, None, &straight_line(0.0, 100.0, 2), 5.0)
+            .unwrap();
         assert!(store.position_at(1, 50.0).is_none());
         assert!(store.position_at(1, 100.0).is_some());
     }
@@ -1473,10 +1346,8 @@ mod tests {
         let a = SimplifiedSegment::new(DirectedSegment::new(originals[0], originals[1]), 0, 4);
         let b = SimplifiedSegment::new(DirectedSegment::new(originals[1], originals[5]), 1, 5);
         let simplified = SimplifiedTrajectory::new(vec![a, b], 6);
-        let mut store = TrajStore::default();
-        store
-            .ingest_with_original(1, &originals, &simplified, 5.0)
-            .unwrap();
+        let mut store = TrajStore::new(StoreConfig::default());
+        store.ingest(1, Some(&originals), &simplified, 5.0).unwrap();
         store
     }
 
@@ -1557,7 +1428,9 @@ mod tests {
     #[test]
     fn sealed_payloads_hold_no_spare_capacity() {
         let mut store = TrajStore::new(StoreConfig::default().with_block_segments(8));
-        store.ingest(1, &straight_line(0.0, 0.0, 50), 5.0).unwrap();
+        store
+            .ingest(1, None, &straight_line(0.0, 0.0, 50), 5.0)
+            .unwrap();
         let mut resident = 0;
         for block in store.stored_blocks() {
             let PayloadSlot::Resident(bytes) = &block.payload else {
@@ -1571,7 +1444,7 @@ mod tests {
 
     #[test]
     fn skip_ratio_handles_empty_store() {
-        let store = TrajStore::default();
+        let store = TrajStore::new(StoreConfig::default());
         let q = store.window_query(&window(0.0, 0.0, 10.0, 10.0), None);
         assert!(q.matches.is_empty());
         assert_eq!(q.stats.skip_ratio(), 0.0);

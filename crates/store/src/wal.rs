@@ -55,7 +55,8 @@ use traj_model::codec::{get_varint, put_varint, ByteReader};
 use traj_obs::{Histogram, HistogramSnapshot, Snapshot};
 
 use crate::block::Block;
-use crate::store::{StoreError, TrajStore};
+use crate::shard::ShardedStore;
+use crate::store::StoreError;
 
 /// How the store acknowledges live ingest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -604,7 +605,10 @@ impl Wal {
     /// [`StoreError::Corrupt`] when a segment claims a `base_blocks`
     /// *ahead* of the recovered store (the main files must have been
     /// rolled back by hand — refusing is the only safe answer).
-    pub fn replay(store_dir: &Path, store: &mut TrajStore) -> Result<WalReplayReport, StoreError> {
+    pub fn replay(
+        store_dir: &Path,
+        store: &mut ShardedStore,
+    ) -> Result<WalReplayReport, StoreError> {
         let wal_dir = store_dir.join("wal");
         let mut report = WalReplayReport::default();
         let segments = list_segments(&wal_dir)?;
@@ -645,7 +649,7 @@ impl Wal {
     /// replay must stop (torn tail found).
     fn replay_segment(
         bytes: &[u8],
-        store: &mut TrajStore,
+        store: &mut ShardedStore,
         report: &mut WalReplayReport,
         seq: u64,
         tagged: bool,
@@ -734,7 +738,7 @@ impl Wal {
                     if Self::apply_ingest(store, &blocks) {
                         report.ingests_replayed += 1;
                         report.points_replayed += original_len;
-                        store.add_total_points(original_len);
+                        store.shard_mut(device).add_total_points(original_len);
                     } else {
                         report.ingests_rejected += 1;
                     }
@@ -748,20 +752,23 @@ impl Wal {
     /// decode/metadata validation or would violate the per-device
     /// append-only-in-time order — the latter is exactly what a duplicated
     /// or double-applied ingest looks like.
-    fn apply_ingest(store: &mut TrajStore, blocks: &[Block]) -> bool {
+    fn apply_ingest(store: &mut ShardedStore, blocks: &[Block]) -> bool {
         if blocks.is_empty() {
             return false;
         }
+        let codec = store.config().codec;
         let mut last_t_min: HashMap<u64, f64> = HashMap::new();
         for block in blocks {
-            if crate::persist::validate_block(block, &store.config().codec).is_err() {
+            if crate::persist::validate_block(block, &codec).is_err() {
                 return false;
             }
             let device = block.meta.device;
-            let floor = last_t_min.get(&device).copied().or_else(|| {
-                let metas = store.block_metas(device);
-                metas.last().map(|m| m.t_min)
-            });
+            let tail = store
+                .shard_mut(device)
+                .device_log(device)
+                .last()
+                .map(|b| b.meta);
+            let floor = last_t_min.get(&device).copied().or(tail.map(|m| m.t_min));
             if let Some(t) = floor {
                 if block.meta.t_min < t {
                     return false;
@@ -769,15 +776,15 @@ impl Wal {
             }
             // A duplicate of the device's current tail has an equal t_min;
             // an identical last block is the signature of a double apply.
-            if let Some(tail) = store.block_metas(device).last() {
-                if !last_t_min.contains_key(&device) && *tail == block.meta {
-                    return false;
-                }
+            if !last_t_min.contains_key(&device) && tail == Some(block.meta) {
+                return false;
             }
             last_t_min.insert(device, block.meta.t_min);
         }
         for block in blocks {
-            store.append_block(block.clone());
+            store
+                .shard_mut(block.meta.device)
+                .append_block(block.clone());
         }
         true
     }

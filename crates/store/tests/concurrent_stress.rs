@@ -20,10 +20,7 @@ use traj_data::{DatasetGenerator, DatasetKind};
 use traj_geo::BoundingBox;
 use traj_model::Trajectory;
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
-use traj_store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, ShardedStore, StoreConfig,
-    TrajStore,
-};
+use traj_store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
 
 const WRITERS: usize = 4;
 const READERS: usize = 4;
@@ -181,20 +178,20 @@ fn writers_and_readers_share_the_store_without_torn_state() {
     assert!(reads.load(Ordering::Relaxed) >= READERS * 3);
 
     // ── Final state: exact equality with a sequential reference. ─────────
-    let mut reference = TrajStore::new(StoreConfig::default().with_block_segments(8));
+    let reference = ShardedStore::new(StoreConfig::default().with_block_segments(8), 1);
     for writer in 0..WRITERS {
         for wave in 0..WAVES {
             let fleet = wave_fleet(writer, wave);
             let (_, ingested) =
-                compress_fleet_into_store(&fleet, &config, &algorithm, &mut reference)
+                compress_fleet_into_shared_store(&fleet, &config, &algorithm, &reference)
                     .expect("sequential reference ingest");
             assert_eq!(ingested, fleet.len());
         }
     }
     let (concurrent, sequential) = (store.stats(), reference.stats());
     assert_eq!(concurrent, sequential, "final counts must be exact");
-    assert_eq!(store.devices(), reference.devices().collect::<Vec<_>>());
-    for d in reference.devices().collect::<Vec<_>>() {
+    assert_eq!(store.devices(), reference.devices());
+    for d in reference.devices() {
         assert_eq!(store.block_metas(d), reference.block_metas(d));
         assert_eq!(
             store.time_slice(d, 0.0, 1e7).segments,
@@ -212,11 +209,11 @@ fn bounded_cache_readers_match_unbounded_answers() {
     let config = PipelineConfig::new(ZETA)
         .with_workers(1)
         .with_batch_size(64);
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(8));
+    let store = ShardedStore::new(StoreConfig::default().with_block_segments(8), 1);
     for writer in 0..WRITERS {
         for wave in 0..2 {
             let fleet = wave_fleet(writer, wave);
-            compress_fleet_into_store(&fleet, &config, &algorithm, &mut store).expect("ingest");
+            compress_fleet_into_shared_store(&fleet, &config, &algorithm, &store).expect("ingest");
         }
     }
     let dir = std::env::temp_dir().join(format!(

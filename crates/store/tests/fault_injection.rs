@@ -4,10 +4,10 @@
 //! produce: a `segments.log` truncated mid-record (torn append) and a
 //! damaged `manifest.json`.  The contract under test:
 //!
-//! * strict [`TrajStore::open`] either succeeds on exactly the persisted
+//! * strict [`ShardedStore::open_with`] either succeeds on exactly the persisted
 //!   data or fails with a structured [`StoreError`] — never a panic, never
 //!   silently wrong data;
-//! * [`TrajStore::open_recover`] additionally salvages the longest valid
+//! * [`ShardedStore::open_recover_with`] additionally salvages the longest valid
 //!   log prefix and reports precisely what it dropped;
 //! * whatever opens (strictly or recovered) answers queries without
 //!   panicking, and recovered data equals the intact store's prefix.
@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use traj_data::rng::{Rng, SmallRng};
 use traj_geo::{DirectedSegment, Point};
 use traj_model::{BlockFormat, SimplifiedSegment, SimplifiedTrajectory};
-use traj_store::{ShardedStore, StoreConfig, StoreError, TrajStore};
+use traj_store::{RecoveryReport, ShardedStore, StoreConfig, StoreError};
 
 /// A scratch directory unique to this test process.
 fn scratch(tag: &str) -> PathBuf {
@@ -59,11 +59,12 @@ fn device_streams() -> Vec<(u64, SimplifiedTrajectory)> {
 
 /// A deterministic multi-device store with several blocks per device,
 /// encoded in the given block format.
-fn build_store_fmt(format: BlockFormat) -> TrajStore {
-    let mut store = TrajStore::new(
+fn build_store_fmt(format: BlockFormat) -> ShardedStore {
+    let store = ShardedStore::new(
         StoreConfig::default()
             .with_block_segments(3)
             .with_format(format),
+        1,
     );
     for (d, simplified) in device_streams() {
         store.ingest(d, &simplified, 15.0).unwrap();
@@ -72,8 +73,18 @@ fn build_store_fmt(format: BlockFormat) -> TrajStore {
 }
 
 /// The varint-format store most single-format tests use.
-fn build_store() -> TrajStore {
+fn build_store() -> ShardedStore {
     build_store_fmt(BlockFormat::Varint)
+}
+
+/// A strict one-shard open.
+fn open(dir: &Path) -> Result<ShardedStore, StoreError> {
+    ShardedStore::open_with(dir, 1, StoreConfig::default())
+}
+
+/// A one-shard open in recovery mode.
+fn open_recover(dir: &Path) -> Result<(ShardedStore, RecoveryReport), StoreError> {
+    ShardedStore::open_recover_with(dir, 1, StoreConfig::default())
 }
 
 /// Byte offsets at which each log record starts, plus the total length.
@@ -110,15 +121,15 @@ fn truncation_sweep(format: BlockFormat) {
     for cut in last_start..log.len() {
         fs::write(&log_path, &log[..cut]).unwrap();
         // Strict open: clean structured error, never a panic.
-        match TrajStore::open(&dir) {
+        match open(&dir) {
             Err(StoreError::Corrupt(_)) | Err(StoreError::Io(_)) => {}
             Ok(_) => panic!("strict open accepted a log truncated at byte {cut}"),
             Err(other) => panic!("unexpected error class at byte {cut}: {other}"),
         }
         // Recovery: exactly the complete records before the cut.
-        let (recovered, report) = TrajStore::open_recover(&dir)
-            .unwrap_or_else(|e| panic!("recovery failed at byte {cut}: {e}"));
-        assert_eq!(recovered.num_blocks(), total_blocks - 1, "cut at {cut}");
+        let (recovered, report) =
+            open_recover(&dir).unwrap_or_else(|e| panic!("recovery failed at byte {cut}: {e}"));
+        assert_eq!(recovered.stats().blocks, total_blocks - 1, "cut at {cut}");
         assert_eq!(report.blocks_recovered, total_blocks - 1);
         assert_eq!(report.manifest_blocks, total_blocks);
         assert_eq!(report.bytes_dropped, cut - last_start, "cut at {cut}");
@@ -126,7 +137,7 @@ fn truncation_sweep(format: BlockFormat) {
         assert!(report.dropped_reason.is_some() || cut == last_start);
         // The salvaged prefix answers queries identically to the intact
         // store restricted to its blocks.
-        for d in recovered.devices().collect::<Vec<_>>() {
+        for d in recovered.devices() {
             let a = recovered.time_slice(d, 0.0, 150.0);
             let b = store.time_slice(d, 0.0, 150.0);
             for s in &a.segments {
@@ -148,14 +159,14 @@ fn truncation_at_every_record_boundary_recovers_exactly_those_records() {
 
     for (kept, cut) in offsets.iter().copied().enumerate() {
         fs::write(&log_path, &log[..cut]).unwrap();
-        let (recovered, report) = TrajStore::open_recover(&dir).unwrap();
-        assert_eq!(recovered.num_blocks(), kept, "boundary cut at {cut}");
+        let (recovered, report) = open_recover(&dir).unwrap();
+        assert_eq!(recovered.stats().blocks, kept, "boundary cut at {cut}");
         assert_eq!(report.bytes_dropped, 0, "a boundary cut drops no bytes");
         assert!(!report.is_clean(), "missing records must be reported");
     }
     // Cut at the very end: clean.
     fs::write(&log_path, &log).unwrap();
-    let (_, report) = TrajStore::open_recover(&dir).unwrap();
+    let (_, report) = open_recover(&dir).unwrap();
     assert!(report.is_clean());
     fs::remove_dir_all(&dir).ok();
 }
@@ -183,7 +194,7 @@ fn log_bit_flip_sweep(format: BlockFormat) {
             // Strict open: Ok (the flip landed somewhere harmless for
             // validation, e.g. widened a bounding box) or a clean error —
             // and an Ok store must answer queries without panicking.
-            match TrajStore::open(&dir) {
+            match open(&dir) {
                 Ok(opened) => {
                     strict_ok += 1;
                     let w = traj_geo::BoundingBox {
@@ -193,7 +204,7 @@ fn log_bit_flip_sweep(format: BlockFormat) {
                         max_y: 3000.0,
                     };
                     let _ = opened.window_query(&w, Some((0.0, 200.0)));
-                    for d in opened.devices().collect::<Vec<_>>() {
+                    for d in opened.devices() {
                         let _ = opened.time_slice(d, 10.0, 90.0);
                         let _ = opened.position_at(d, 42.0);
                     }
@@ -206,7 +217,7 @@ fn log_bit_flip_sweep(format: BlockFormat) {
             // Recovery must always produce a usable (possibly shorter)
             // store for a corrupt *log* (the manifest is intact here).
             let (recovered, _) =
-                TrajStore::open_recover(&dir).expect("recovery never fails on log corruption");
+                open_recover(&dir).expect("recovery never fails on log corruption");
             let _ = recovered.stats();
         }
     }
@@ -240,10 +251,7 @@ fn corrupt_manifests_fail_cleanly_in_both_modes() {
     for (i, text) in corruptions.iter().enumerate() {
         assert_ne!(text, &manifest, "corruption {i} is a no-op");
         fs::write(&manifest_path, text).unwrap();
-        for result in [
-            TrajStore::open(&dir).map(|_| ()),
-            TrajStore::open_recover(&dir).map(|_| ()),
-        ] {
+        for result in [open(&dir).map(|_| ()), open_recover(&dir).map(|_| ())] {
             match result {
                 Err(StoreError::Corrupt(msg)) => assert!(!msg.is_empty(), "corruption {i}"),
                 Ok(()) => panic!("corrupt manifest {i} accepted"),
@@ -260,9 +268,9 @@ fn corrupt_manifests_fail_cleanly_in_both_modes() {
         let at = rng.gen_range(0..bytes.len());
         bytes[at] ^= 1 << rng.gen_range(0..8u32);
         fs::write(&manifest_path, &bytes).unwrap();
-        if let Ok(opened) = TrajStore::open(&dir) {
+        if let Ok(opened) = open(&dir) {
             let _ = opened.stats();
-            for d in opened.devices().collect::<Vec<_>>() {
+            for d in opened.devices() {
                 let _ = opened.time_slice(d, 0.0, 100.0);
             }
         }
@@ -274,20 +282,17 @@ fn corrupt_manifests_fail_cleanly_in_both_modes() {
         manifest.replace("\"blocks\": 24", "\"blocks\": 7"),
     )
     .unwrap();
-    assert!(matches!(TrajStore::open(&dir), Err(StoreError::Corrupt(_))));
-    let (recovered, report) = TrajStore::open_recover(&dir).unwrap();
-    assert_eq!(recovered.num_blocks(), 24);
+    assert!(matches!(open(&dir), Err(StoreError::Corrupt(_))));
+    let (recovered, report) = open_recover(&dir).unwrap();
+    assert_eq!(recovered.stats().blocks, 24);
     assert_eq!(report.manifest_blocks, 7);
     assert!(!report.is_clean());
 
     // Missing files.
     fs::remove_file(dir.join("segments.log")).unwrap();
-    assert!(matches!(
-        TrajStore::open_recover(&dir),
-        Err(StoreError::Io(_))
-    ));
+    assert!(matches!(open_recover(&dir), Err(StoreError::Io(_))));
     fs::remove_dir_all(&dir).ok();
-    assert!(matches!(TrajStore::open(&dir), Err(StoreError::Io(_))));
+    assert!(matches!(open(&dir), Err(StoreError::Io(_))));
 }
 
 // ─────────────────────────── WAL fault injection ───────────────────────────
@@ -324,11 +329,11 @@ fn build_walled(dir: &Path, format: BlockFormat) -> PathBuf {
     dir.join("wal").join("wal-000001.log")
 }
 
-/// Replays whatever WAL sits under `dir` into a fresh flat store — the
+/// Replays whatever WAL sits under `dir` into a fresh one-shard store — the
 /// read-only half of recovery, so damaged inputs can be probed thousands
 /// of times without re-copying the directory.
-fn replay_fresh(dir: &Path) -> (TrajStore, traj_store::WalReplayReport) {
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(3));
+fn replay_fresh(dir: &Path) -> (ShardedStore, traj_store::WalReplayReport) {
+    let mut store = ShardedStore::new(StoreConfig::default().with_block_segments(3), 1);
     let report = Wal::replay(dir, &mut store).expect("replay of a damaged-but-present wal");
     (store, report)
 }
@@ -374,7 +379,7 @@ fn wal_torn_tail_sweep(format: BlockFormat) {
         fs::write(&wal_path, &wal[..cut]).unwrap();
         let (store, report) = replay_fresh(&dir);
         assert_eq!(report.ingests_replayed, DEVICES - 1, "cut at {cut}");
-        assert_eq!(store.num_blocks(), (DEVICES - 1) * BLOCKS_PER_DEVICE);
+        assert_eq!(store.stats().blocks, (DEVICES - 1) * BLOCKS_PER_DEVICE);
         assert_eq!(store.stats().points, (DEVICES - 1) * POINTS_PER_DEVICE);
         // A cut exactly at the ingest boundary is indistinguishable from
         // a WAL that never saw the write — everything after it is torn.
@@ -397,9 +402,9 @@ fn wal_torn_tail_sweep(format: BlockFormat) {
             .count();
         let (store, report) = replay_fresh(&dir);
         assert_eq!(report.ingests_replayed, committed, "boundary cut at {cut}");
-        assert_eq!(store.num_blocks(), committed * BLOCKS_PER_DEVICE);
+        assert_eq!(store.stats().blocks, committed * BLOCKS_PER_DEVICE);
         assert_eq!(report.bytes_dropped, 0, "a boundary cut drops no bytes");
-        let devices: Vec<u64> = store.devices().collect();
+        let devices = store.devices();
         assert_eq!(devices.len(), committed, "whole devices only");
     }
     fs::remove_dir_all(&dir).ok();
@@ -423,7 +428,7 @@ fn wal_bit_flip_sweep(format: BlockFormat) {
             let mut mutated = wal.clone();
             mutated[byte] ^= 1 << bit;
             fs::write(&wal_path, &mutated).unwrap();
-            let mut store = TrajStore::new(StoreConfig::default().with_block_segments(3));
+            let mut store = ShardedStore::new(StoreConfig::default().with_block_segments(3), 1);
             match Wal::replay(&dir, &mut store) {
                 Ok(report) => {
                     if report.is_clean() {
@@ -431,9 +436,9 @@ fn wal_bit_flip_sweep(format: BlockFormat) {
                     }
                     // Whatever survived is a subset, applied at most once.
                     assert!(report.ingests_replayed <= DEVICES);
-                    assert!(store.num_blocks() <= DEVICES * BLOCKS_PER_DEVICE);
+                    assert!(store.stats().blocks <= DEVICES * BLOCKS_PER_DEVICE);
                     assert!(store.stats().points <= DEVICES * POINTS_PER_DEVICE);
-                    for d in store.devices().collect::<Vec<_>>() {
+                    for d in store.devices() {
                         let _ = store.time_slice(d, 0.0, 200.0);
                     }
                 }
@@ -477,7 +482,7 @@ fn wal_duplicated_ingest_case(format: BlockFormat) {
     let (store, report) = replay_fresh(&dir);
     assert_eq!(report.ingests_replayed, DEVICES);
     assert_eq!(report.ingests_rejected, 1, "the duplicate must be rejected");
-    assert_eq!(store.num_blocks(), DEVICES * BLOCKS_PER_DEVICE);
+    assert_eq!(store.stats().blocks, DEVICES * BLOCKS_PER_DEVICE);
     assert_eq!(store.stats().points, DEVICES * POINTS_PER_DEVICE);
 
     // End to end: a durable open over the same bytes agrees.
@@ -537,7 +542,7 @@ fn stale_wal_segment_case(format: BlockFormat) {
 }
 
 #[test]
-fn sharded_open_recover_matches_flat_recovery() {
+fn open_recover_matches_at_every_shard_count() {
     let dir = scratch("shard-recover");
     let store = build_store();
     store.save(&dir).unwrap();
@@ -551,13 +556,13 @@ fn sharded_open_recover_matches_flat_recovery() {
     assert!(ShardedStore::open_with(&dir, 4, StoreConfig::default()).is_err());
     let (sharded, report) =
         ShardedStore::open_recover_with(&dir, 4, StoreConfig::default()).unwrap();
-    let (flat, flat_report) = TrajStore::open_recover(&dir).unwrap();
-    assert_eq!(report, flat_report);
-    assert_eq!(sharded.stats(), flat.stats());
-    for d in flat.devices().collect::<Vec<_>>() {
+    let (one, one_report) = open_recover(&dir).unwrap();
+    assert_eq!(report, one_report);
+    assert_eq!(sharded.stats(), one.stats());
+    for d in one.devices() {
         assert_eq!(
             sharded.time_slice(d, 0.0, 200.0).segments,
-            flat.time_slice(d, 0.0, 200.0).segments
+            one.time_slice(d, 0.0, 200.0).segments
         );
     }
     fs::remove_dir_all(&dir).ok();
@@ -579,12 +584,12 @@ fn recovery_under_a_tiny_cache_matches_unbounded_recovery() {
         let cut = *record_offsets(&log).last().unwrap() + 7;
         fs::write(&log_path, &log[..cut]).unwrap();
 
-        let (unbounded, report) = TrajStore::open_recover(&dir).unwrap();
+        let (unbounded, report) = open_recover(&dir).unwrap();
         let config = StoreConfig::default().with_cache_bytes(Some(512));
-        let (bounded, brep) = TrajStore::open_recover_with(&dir, config).unwrap();
+        let (bounded, brep) = ShardedStore::open_recover_with(&dir, 1, config).unwrap();
         assert_eq!(brep.blocks_recovered, report.blocks_recovered);
         assert_eq!(bounded.stats(), unbounded.stats());
-        for d in unbounded.devices().collect::<Vec<_>>() {
+        for d in unbounded.devices() {
             assert_eq!(
                 bounded.time_slice(d, 0.0, 150.0),
                 unbounded.time_slice(d, 0.0, 150.0),
@@ -596,7 +601,7 @@ fn recovery_under_a_tiny_cache_matches_unbounded_recovery() {
         fs::remove_dir_all(&dir).ok();
 
         // Torn WAL tail → open_durable with a bounded cache: the same
-        // acknowledged prefix as a flat replay of the damaged WAL.
+        // acknowledged prefix as a one-shard replay of the damaged WAL.
         let dir = scratch(&format!("tiny-cache-wal-{format}"));
         let wal_path = build_walled(&dir, format);
         let wal = fs::read(&wal_path).unwrap();
@@ -609,7 +614,7 @@ fn recovery_under_a_tiny_cache_matches_unbounded_recovery() {
         assert_eq!(got.points, want.points);
         assert_eq!(got.blocks, want.blocks);
         assert_eq!(got.devices, want.devices);
-        for d in reference.devices().collect::<Vec<_>>() {
+        for d in reference.devices() {
             assert_eq!(
                 durable.time_slice(d, 0.0, 200.0).segments,
                 reference.time_slice(d, 0.0, 200.0).segments,

@@ -29,7 +29,7 @@ use traj_geo::BoundingBox;
 use traj_model::json::JsonValue;
 use traj_model::{BlockFormat, SimplifiedSegment, Trajectory};
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
-use traj_store::{compress_fleet_into_store, StoreConfig, TrajStore};
+use traj_store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
 
 const SEED: u64 = 20170401;
 const DEVICES: usize = 24;
@@ -96,44 +96,43 @@ fn pipeline_config() -> PipelineConfig {
         .with_batch_size(64)
 }
 
-fn build_store(fleet: &[(DeviceId, Trajectory)], format: BlockFormat) -> TrajStore {
+fn store_config(format: BlockFormat) -> StoreConfig {
+    StoreConfig::default()
+        .with_block_segments(16)
+        .with_format(format)
+}
+
+/// Compresses `fleet` into `store`; returns the streams ingested.
+fn ingest(fleet: &[(DeviceId, Trajectory)], store: &ShardedStore) -> usize {
     let algorithm = FleetAlgorithm::by_name("operb").unwrap();
-    let mut store = TrajStore::new(
-        StoreConfig::default()
-            .with_block_segments(16)
-            .with_format(format),
-    );
-    let (_, ingested) =
-        compress_fleet_into_store(fleet, &pipeline_config(), &algorithm, &mut store).unwrap();
-    assert_eq!(ingested, DEVICES);
+    compress_fleet_into_shared_store(fleet, &pipeline_config(), &algorithm, store)
+        .unwrap()
+        .1
+}
+
+fn build_store(fleet: &[(DeviceId, Trajectory)], format: BlockFormat) -> ShardedStore {
+    let store = ShardedStore::new(store_config(format), 1);
+    assert_eq!(ingest(fleet, &store), DEVICES);
     store
 }
 
 /// Half the fleet in each format, in one store: the first twelve devices
-/// land in varint blocks, then the configured default flips and the rest
-/// land in FoR blocks.
-fn build_mixed_store(fleet: &[(DeviceId, Trajectory)]) -> TrajStore {
-    let algorithm = FleetAlgorithm::by_name("operb").unwrap();
-    let mut store = TrajStore::new(
-        StoreConfig::default()
-            .with_block_segments(16)
-            .with_format(BlockFormat::Varint),
-    );
+/// land in varint blocks, the store is saved to `dir` and reopened with
+/// FoR as the format of new ingests, and the rest land in FoR blocks.
+fn build_mixed_store(fleet: &[(DeviceId, Trajectory)], dir: &std::path::Path) -> ShardedStore {
     let half = DEVICES / 2;
-    let (_, a) =
-        compress_fleet_into_store(&fleet[..half], &pipeline_config(), &algorithm, &mut store)
-            .unwrap();
-    store.set_format(BlockFormat::ForFixed);
-    let (_, b) =
-        compress_fleet_into_store(&fleet[half..], &pipeline_config(), &algorithm, &mut store)
-            .unwrap();
+    let varint = ShardedStore::new(store_config(BlockFormat::Varint), 1);
+    let a = ingest(&fleet[..half], &varint);
+    varint.save(dir).unwrap();
+    let store = ShardedStore::open_with(dir, 1, store_config(BlockFormat::ForFixed)).unwrap();
+    let b = ingest(&fleet[half..], &store);
     assert_eq!(a + b, DEVICES);
     store
 }
 
 /// Store-level totals, including `stored_bytes` — the only number the
 /// block format is *allowed* to change, so it gets a per-format row.
-fn stats_row(store: &TrajStore, label: &str) -> (String, usize, String) {
+fn stats_row(store: &ShardedStore, label: &str) -> (String, usize, String) {
     let stats = store.stats();
     let mut h = Fnv::new();
     for v in [
@@ -151,7 +150,10 @@ fn stats_row(store: &TrajStore, label: &str) -> (String, usize, String) {
 /// Runs the canonical query set; returns `(name, count, checksum)` rows.
 /// Every row is a pure function of the decoded geometry, so these rows
 /// must be **byte-identical across block formats** — zero tolerance.
-fn query_rows(fleet: &[(DeviceId, Trajectory)], store: &TrajStore) -> Vec<(String, usize, String)> {
+fn query_rows(
+    fleet: &[(DeviceId, Trajectory)],
+    store: &ShardedStore,
+) -> Vec<(String, usize, String)> {
     let mut rows = Vec::new();
 
     // Time slices: five devices, three fractional ranges each.
@@ -241,7 +243,9 @@ fn golden_pipeline_store_query_results_match_fixture() {
     let fleet = fleet();
     let varint = build_store(&fleet, BlockFormat::Varint);
     let packed = build_store(&fleet, BlockFormat::ForFixed);
-    let mixed = build_mixed_store(&fleet);
+    let mixed_dir =
+        std::env::temp_dir().join(format!("traj-golden-mixed-build-{}", std::process::id()));
+    let mixed = build_mixed_store(&fleet, &mixed_dir);
 
     // The block format must be invisible to every query: identical rows
     // (same FNV-1a checksums over exact f64 bit patterns) from the varint
@@ -271,7 +275,7 @@ fn golden_pipeline_store_query_results_match_fixture() {
     for (tag, store) in [("varint", &varint), ("for", &packed), ("mixed", &mixed)] {
         let dir = std::env::temp_dir().join(format!("traj-golden-{tag}-{}", std::process::id()));
         store.save(&dir).unwrap();
-        let reopened = TrajStore::open(&dir).unwrap();
+        let reopened = ShardedStore::open_with(&dir, 1, StoreConfig::default()).unwrap();
         assert_eq!(query_rows(&fleet, &reopened), queries, "{tag} reopen");
         // A reopened store is lazy — payloads page in on demand — so its
         // inline-resident byte count is 0; everything else must match.
@@ -282,8 +286,8 @@ fn golden_pipeline_store_query_results_match_fixture() {
         assert_eq!(reopened.stats(), want, "{tag} reopen stats");
         // A tiny buffer pool (forcing heavy eviction) must not change a
         // single bit of any query result.
-        let config = traj_store::StoreConfig::default().with_cache_bytes(Some(1024));
-        let bounded = TrajStore::open_with(&dir, config).unwrap();
+        let config = StoreConfig::default().with_cache_bytes(Some(1024));
+        let bounded = ShardedStore::open_with(&dir, 1, config).unwrap();
         assert_eq!(
             query_rows(&fleet, &bounded),
             queries,
@@ -309,6 +313,8 @@ fn golden_pipeline_store_query_results_match_fixture() {
         stats_row(&mixed, "mixed"),
     ];
     rows.extend(queries);
+    drop(mixed);
+    std::fs::remove_dir_all(&mixed_dir).ok();
 
     if std::env::var("GOLDEN_REGEN").is_ok() {
         let mut text = rows_to_json(&rows).to_string_pretty();

@@ -16,7 +16,7 @@ use traj_geo::{BoundingBox, DirectedSegment, Point};
 use traj_model::SimplifiedSegment;
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
 use traj_store::{
-    compress_fleet_into_store, BlockMeta, BlockRef, GridIndex, StoreConfig, TrajStore,
+    compress_fleet_into_shared_store, BlockMeta, BlockRef, GridIndex, ShardedStore, StoreConfig,
 };
 
 /// Half the side of the square the blocks are centred in, metres.
@@ -147,10 +147,10 @@ fn taxi_fleet_stays_within_sixteen_references_per_block() {
     let fleet: Vec<_> = (0..120)
         .map(|i| (i as DeviceId, generator.generate_trajectory(i, 400)))
         .collect();
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(32));
+    let store = ShardedStore::new(StoreConfig::default().with_block_segments(32), 1);
     let config = PipelineConfig::new(30.0).with_workers(2);
     let algorithm = FleetAlgorithm::by_name("operb").unwrap();
-    compress_fleet_into_store(&fleet, &config, &algorithm, &mut store).unwrap();
+    compress_fleet_into_shared_store(&fleet, &config, &algorithm, &store).unwrap();
 
     let mut index = GridIndex::new(500.0);
     assert_eq!(index.cell_size(), store.config().cell_size);
@@ -171,6 +171,6 @@ fn taxi_fleet_stays_within_sixteen_references_per_block() {
     assert_eq!(index.num_blocks(), store.stats().blocks);
     assert!(index.num_blocks() > 500, "fleet too small to mean much");
     assert!(widest <= 16, "a block holds {widest} references");
-    // The store builds the same index from the same metadata.
+    // The one-shard store builds the same index from the same metadata.
     assert_eq!(store.memory_stats().index_bytes, index.approx_bytes());
 }

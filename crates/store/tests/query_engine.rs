@@ -11,8 +11,8 @@ use traj_geo::{BoundingBox, DirectedSegment, Point};
 use traj_model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
 use traj_store::{
-    compress_fleet_into_store, DurabilityMode, GeofenceAlert, GeofenceRegistry, KnnNeighbor,
-    ShardedStore, StoreConfig, TrajStore,
+    compress_fleet_into_shared_store, DurabilityMode, GeofenceAlert, GeofenceRegistry, KnnNeighbor,
+    ShardedStore, StoreConfig,
 };
 
 const ZETA: f64 = 25.0;
@@ -24,21 +24,26 @@ fn synthetic_fleet(count: usize, points: usize, seed: u64) -> Vec<(DeviceId, Tra
         .collect()
 }
 
-fn populated_store(fleet: &[(DeviceId, Trajectory)]) -> TrajStore {
-    compressed_store(fleet, "operb", 16)
+fn populated_store(fleet: &[(DeviceId, Trajectory)]) -> ShardedStore {
+    compressed_store(fleet, "operb", 16, 1)
 }
 
 fn compressed_store(
     fleet: &[(DeviceId, Trajectory)],
     algorithm: &str,
     block_segments: usize,
-) -> TrajStore {
+    shards: usize,
+) -> ShardedStore {
     let algorithm = FleetAlgorithm::by_name(algorithm).unwrap();
     let config = PipelineConfig::new(ZETA)
         .with_workers(4)
         .with_batch_size(128);
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(block_segments));
-    let (_, ingested) = compress_fleet_into_store(fleet, &config, &algorithm, &mut store).unwrap();
+    let store = ShardedStore::new(
+        StoreConfig::default().with_block_segments(block_segments),
+        shards,
+    );
+    let (_, ingested) =
+        compress_fleet_into_shared_store(fleet, &config, &algorithm, &store).unwrap();
     assert_eq!(ingested, fleet.len());
     store
 }
@@ -130,7 +135,7 @@ fn neighbor_bits(neighbors: &[KnnNeighbor]) -> Vec<(DeviceId, u64)> {
 }
 
 #[test]
-fn sharded_knn_agrees_with_flat_store() {
+fn knn_agrees_at_every_shard_count() {
     // 32 devices plus one long-lived device whose log runs past 200
     // blocks, so that dropping a device part-way through its blocks (on
     // suffix minima of the block bounds) runs on a long log.
@@ -151,24 +156,19 @@ fn sharded_knn_agrees_with_flat_store() {
         probe(4, &[0.5]),
     ];
     for algorithm in ["operb", "operb-a"] {
-        let flat = compressed_store(&fleet, algorithm, 8);
+        let one = compressed_store(&fleet, algorithm, 8, 1);
+        let long_blocks = one.block_metas(LONG_DEVICE).len();
         assert!(
-            flat.device_block_count(LONG_DEVICE) >= 200,
-            "{algorithm}: the long device has {} blocks",
-            flat.device_block_count(LONG_DEVICE)
+            long_blocks >= 200,
+            "{algorithm}: the long device has {long_blocks} blocks"
         );
         for shards in [1, 2, 4, 16] {
-            let sharded = ShardedStore::from_store(flat.clone(), shards);
+            let sharded = compressed_store(&fleet, algorithm, 8, shards);
             for (q, query) in queries.iter().enumerate() {
                 for k in [1, 5, 10, fleet.len() + 3] {
-                    let expected = neighbor_bits(&flat.knn_bruteforce(query, k).neighbors);
+                    let expected = neighbor_bits(&one.knn_bruteforce(query, k).neighbors);
                     assert_eq!(expected.len(), k.min(fleet.len()));
                     let context = format!("{algorithm}, {shards} shards, query {q}, k={k}");
-                    assert_eq!(
-                        neighbor_bits(&flat.knn(query, k).neighbors),
-                        expected,
-                        "flat {context}"
-                    );
                     assert_eq!(
                         neighbor_bits(&sharded.knn(query, k).neighbors),
                         expected,
@@ -492,5 +492,34 @@ fn catch_up_fires_alerts_the_crash_swallowed() {
         vec![3, 4],
         "catch-up continues the persisted sequence"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn alerts_for_a_device_above_2_pow_53_fire_once_across_durable_reopen() {
+    const DEVICE: DeviceId = (1 << 53) + 1;
+    let dir = temp_dir("geofence-big-id");
+    {
+        let (store, _) = ShardedStore::open_durable(&dir, 2, durable_config()).unwrap();
+        store
+            .geofences()
+            .register("west", region(0.0, -50.0, 150.0, 50.0), None)
+            .unwrap();
+        store.ingest(DEVICE, &line(0.0, 0.0, 6), 5.0).unwrap();
+        assert_eq!(store.geofences().stats().alerts_fired, 1);
+    }
+    // The reopen replays the ingest from the WAL; catch-up must find its
+    // blocks evaluated under the device's own cursor, not under one
+    // rounded to 2⁵³.
+    let (store, _) = ShardedStore::open_durable(&dir, 2, durable_config()).unwrap();
+    assert_eq!(
+        store.geofences().stats().alerts_fired,
+        0,
+        "no re-fired alert"
+    );
+    store.ingest(DEVICE, &line(0.0, 100.0, 6), 5.0).unwrap();
+    let fired = store.geofences().alerts_after(0, 100, None);
+    assert_eq!(alert_keys(&fired.alerts), vec![(1, DEVICE, 3)]);
+    assert_eq!(fired.alerts[0].seq, 2, "the sequence continues");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -22,10 +22,7 @@ use traj_geo::{BoundingBox, Point};
 use traj_model::json::JsonValue;
 use traj_model::{BlockFormat, Trajectory};
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
-use traj_store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, GeofenceAlert, ShardedStore,
-    StoreConfig, TrajStore,
-};
+use traj_store::{compress_fleet_into_shared_store, GeofenceAlert, ShardedStore, StoreConfig};
 
 const SEED: u64 = 20170401;
 const DEVICES: usize = 24;
@@ -82,27 +79,30 @@ fn store_config(format: BlockFormat) -> StoreConfig {
         .with_format(format)
 }
 
-fn build_store(fleet: &[(DeviceId, Trajectory)], format: BlockFormat) -> TrajStore {
+/// Compresses `fleet` into `store`; returns the streams ingested.
+fn ingest(fleet: &[(DeviceId, Trajectory)], store: &ShardedStore) -> usize {
     let algorithm = FleetAlgorithm::by_name("operb").unwrap();
-    let mut store = TrajStore::new(store_config(format));
-    let (_, ingested) =
-        compress_fleet_into_store(fleet, &pipeline_config(), &algorithm, &mut store).unwrap();
-    assert_eq!(ingested, DEVICES);
+    compress_fleet_into_shared_store(fleet, &pipeline_config(), &algorithm, store)
+        .unwrap()
+        .1
+}
+
+fn build_store(fleet: &[(DeviceId, Trajectory)], format: BlockFormat) -> ShardedStore {
+    let store = ShardedStore::new(store_config(format), 1);
+    assert_eq!(ingest(fleet, &store), DEVICES);
     store
 }
 
-/// Half the fleet in varint blocks, half in FoR blocks, one store.
-fn build_mixed_store(fleet: &[(DeviceId, Trajectory)]) -> TrajStore {
-    let algorithm = FleetAlgorithm::by_name("operb").unwrap();
-    let mut store = TrajStore::new(store_config(BlockFormat::Varint));
+/// Half the fleet in varint blocks, half in FoR blocks, one store: the
+/// varint half is saved to `dir` and the store reopened with FoR as the
+/// format of new ingests.
+fn build_mixed_store(fleet: &[(DeviceId, Trajectory)], dir: &std::path::Path) -> ShardedStore {
     let half = DEVICES / 2;
-    let (_, a) =
-        compress_fleet_into_store(&fleet[..half], &pipeline_config(), &algorithm, &mut store)
-            .unwrap();
-    store.set_format(BlockFormat::ForFixed);
-    let (_, b) =
-        compress_fleet_into_store(&fleet[half..], &pipeline_config(), &algorithm, &mut store)
-            .unwrap();
+    let varint = ShardedStore::new(store_config(BlockFormat::Varint), 1);
+    let a = ingest(&fleet[..half], &varint);
+    varint.save(dir).unwrap();
+    let store = ShardedStore::open_with(dir, 1, store_config(BlockFormat::ForFixed)).unwrap();
+    let b = ingest(&fleet[half..], &store);
     assert_eq!(a + b, DEVICES);
     store
 }
@@ -111,7 +111,10 @@ fn build_mixed_store(fleet: &[(DeviceId, Trajectory)]) -> TrajStore {
 /// (devices and exact distance bit patterns) *and* the pruning decisions
 /// (devices pruned, blocks decoded).  Every answer is verified against
 /// the brute-force decoded reference before it is hashed.
-fn knn_rows(fleet: &[(DeviceId, Trajectory)], store: &TrajStore) -> Vec<(String, usize, String)> {
+fn knn_rows(
+    fleet: &[(DeviceId, Trajectory)],
+    store: &ShardedStore,
+) -> Vec<(String, usize, String)> {
     let mut rows = Vec::new();
     for (probe_device, k) in [(3usize, 5usize), (11, 3), (20, 8)] {
         let traj = &fleet[probe_device].1;
@@ -251,7 +254,9 @@ fn golden_knn_and_geofence_results_match_fixture() {
     let fleet = fleet();
     let varint = build_store(&fleet, BlockFormat::Varint);
     let packed = build_store(&fleet, BlockFormat::ForFixed);
-    let mixed = build_mixed_store(&fleet);
+    let mixed_dir =
+        std::env::temp_dir().join(format!("traj-query-golden-mixed-{}", std::process::id()));
+    let mixed = build_mixed_store(&fleet, &mixed_dir);
 
     // kNN answers AND pruning decisions are metadata-driven, so the block
     // format must be invisible to them — identical checksums everywhere.
@@ -262,14 +267,16 @@ fn golden_knn_and_geofence_results_match_fixture() {
         "FoR store kNN differs from varint"
     );
     assert_eq!(knn_rows(&fleet, &mixed), knn, "mixed store kNN differs");
+    drop(mixed);
+    std::fs::remove_dir_all(&mixed_dir).ok();
 
     // The same invariance across a save/reopen and a deliberately tiny
     // buffer pool: pruning runs on resident metadata, decode order pages
     // payloads in and out, and not a single bit of any answer may move.
     let dir = std::env::temp_dir().join(format!("traj-query-golden-{}", std::process::id()));
     varint.save(&dir).unwrap();
-    let bounded =
-        TrajStore::open_with(&dir, StoreConfig::default().with_cache_bytes(Some(1024))).unwrap();
+    let config = StoreConfig::default().with_cache_bytes(Some(1024));
+    let bounded = ShardedStore::open_with(&dir, 1, config).unwrap();
     assert_eq!(knn_rows(&fleet, &bounded), knn, "bounded-cache kNN differs");
     let cache = bounded.memory_stats().cache.expect("opened store pages");
     assert!(cache.evictions > 0, "a 1 KiB pool must evict");

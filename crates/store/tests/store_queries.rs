@@ -8,7 +8,7 @@ use traj_data::{DatasetGenerator, DatasetKind};
 use traj_geo::BoundingBox;
 use traj_model::Trajectory;
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
-use traj_store::{compress_fleet_into_store, StoreConfig, TrajStore};
+use traj_store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
 
 const ZETA: f64 = 25.0;
 
@@ -19,24 +19,25 @@ fn synthetic_fleet(count: usize, points: usize, seed: u64) -> Vec<(DeviceId, Tra
         .collect()
 }
 
-fn populated_store(fleet: &[(DeviceId, Trajectory)]) -> TrajStore {
+fn populated_store(fleet: &[(DeviceId, Trajectory)]) -> ShardedStore {
     populated_store_with(fleet, "operb")
 }
 
-fn populated_store_with(fleet: &[(DeviceId, Trajectory)], algorithm: &str) -> TrajStore {
+fn populated_store_with(fleet: &[(DeviceId, Trajectory)], algorithm: &str) -> ShardedStore {
     let algorithm = FleetAlgorithm::by_name(algorithm).unwrap();
     let config = PipelineConfig::new(ZETA)
         .with_workers(4)
         .with_batch_size(128);
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(16));
-    let (_, ingested) = compress_fleet_into_store(fleet, &config, &algorithm, &mut store).unwrap();
+    let store = ShardedStore::new(StoreConfig::default().with_block_segments(16), 1);
+    let (_, ingested) =
+        compress_fleet_into_shared_store(fleet, &config, &algorithm, &store).unwrap();
     assert_eq!(ingested, fleet.len());
     store
 }
 
 /// The bound every query answer is verified against: the simplification
 /// bound plus the codec's quantization slack.
-fn stored_bound(store: &TrajStore) -> f64 {
+fn stored_bound(store: &ShardedStore) -> f64 {
     ZETA + store.config().codec.spatial_slack()
 }
 
@@ -226,7 +227,7 @@ fn persistence_roundtrip_preserves_query_answers() {
     let store = populated_store(&fleet);
     let dir = std::env::temp_dir().join(format!("traj-store-e2e-{}", std::process::id()));
     store.save(&dir).unwrap();
-    let reopened = TrajStore::open(&dir).unwrap();
+    let reopened = ShardedStore::open_with(&dir, 1, StoreConfig::default()).unwrap();
     // A reopened store is lazy: payloads live on disk, not inline.
     let want = traj_store::StoreStats {
         resident_bytes: 0,

@@ -16,7 +16,7 @@ use traj_data::{DatasetGenerator, DatasetKind};
 use traj_geo::{BoundingBox, Point};
 use traj_model::{SimplifiedSegment, Trajectory};
 use traj_pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
-use traj_store::{compress_fleet_into_store, StoreConfig, TrajStore};
+use traj_store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
 
 const SEED: u64 = 0x5EED_0030;
 const DEVICES: usize = 24;
@@ -36,14 +36,17 @@ fn fleet(kind: DatasetKind) -> Vec<(DeviceId, Trajectory)> {
         .collect()
 }
 
-fn build_store(fleet: &[(DeviceId, Trajectory)], algorithm: &str) -> TrajStore {
+fn build_store(fleet: &[(DeviceId, Trajectory)], algorithm: &str) -> ShardedStore {
     let algorithm = FleetAlgorithm::by_name(algorithm).expect("known algorithm");
     let config = PipelineConfig::new(ZETA)
         .with_workers(2)
         .with_batch_size(64);
-    let mut store = TrajStore::new(StoreConfig::default().with_block_segments(BLOCK_SEGMENTS));
+    let store = ShardedStore::new(
+        StoreConfig::default().with_block_segments(BLOCK_SEGMENTS),
+        1,
+    );
     let (_, ingested) =
-        compress_fleet_into_store(fleet, &config, &algorithm, &mut store).expect("ingest");
+        compress_fleet_into_shared_store(fleet, &config, &algorithm, &store).expect("ingest");
     assert_eq!(ingested, fleet.len());
     store
 }

@@ -10,7 +10,7 @@ use trajsimp::data::{DatasetGenerator, DatasetKind};
 use trajsimp::geo::BoundingBox;
 use trajsimp::model::Trajectory;
 use trajsimp::pipeline::{DeviceId, FleetAlgorithm, PipelineConfig};
-use trajsimp::store::{compress_fleet_into_store, TrajStore};
+use trajsimp::store::{compress_fleet_into_shared_store, ShardedStore, StoreConfig};
 
 fn main() {
     let zeta = 30.0; // meters
@@ -27,8 +27,8 @@ fn main() {
         .collect();
     let algorithm = FleetAlgorithm::by_name("operb").expect("known algorithm");
     let config = PipelineConfig::new(zeta);
-    let mut store = TrajStore::default();
-    let (_, ingested) = compress_fleet_into_store(&fleet, &config, &algorithm, &mut store)
+    let store = ShardedStore::new(StoreConfig::default(), 1);
+    let (_, ingested) = compress_fleet_into_shared_store(&fleet, &config, &algorithm, &store)
         .expect("fleet compresses cleanly");
     let stats = store.stats();
     println!(
@@ -43,7 +43,7 @@ fn main() {
     // ── 2. Persist and reopen ────────────────────────────────────────────
     let dir = std::env::temp_dir().join("trajsimp-store-example");
     store.save(&dir).expect("store persists");
-    let store = TrajStore::open(&dir).expect("store reopens");
+    let store = ShardedStore::open_with(&dir, 1, StoreConfig::default()).expect("store reopens");
     println!(
         "persisted to {} and reopened (index rebuilt from the log)\n",
         dir.display()

@@ -35,6 +35,11 @@ cargo test --release -q -p traj-store --test fault_injection
 cargo test --release -q -p traj-store --test concurrent_stress
 cargo test --release -q -p traj-store --test golden_e2e
 
+echo "==> store suites: answers against the original points, grid index vs brute force, codec round trip (release)"
+cargo test --release -q -p traj-store --test store_queries
+cargo test --release -q -p traj-store --test index_differential
+cargo test --release -q -p traj-store --test codec_roundtrip
+
 echo "==> query engine suites: kNN vs brute force, geofence exactly-once, golden fixtures, window coverage, query and metrics endpoints (release)"
 cargo test --release -q -p traj-store --test query_engine
 cargo test --release -q -p traj-store --test query_golden

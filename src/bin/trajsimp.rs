@@ -61,8 +61,7 @@ use trajsimp::pipeline::{
     compress_fleet, compress_fleet_sequential, DeviceId, FleetAlgorithm, PipelineConfig, Speedup,
 };
 use trajsimp::store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, DurabilityMode, ShardedStore,
-    StoreConfig, TrajStore,
+    compress_fleet_into_shared_store, DurabilityMode, ShardedStore, StoreConfig,
 };
 
 const USAGE: &str = "usage: trajsimp <input.csv|input.plt> [--algorithm NAME] [--epsilon METERS] [--output FILE]\n\
@@ -252,8 +251,10 @@ fn load(path: &str) -> Result<Trajectory, String> {
     }
 }
 
-fn open_flat(dir: &str, config: StoreConfig) -> Result<TrajStore, String> {
-    let store = TrajStore::open_with(Path::new(dir), config).map_err(|e| e.to_string())?;
+/// Opens a store directory as one shard: `query` and `knn` are
+/// single-threaded.
+fn open_store(dir: &str, config: StoreConfig) -> Result<ShardedStore, String> {
+    let store = ShardedStore::open_with(Path::new(dir), 1, config).map_err(|e| e.to_string())?;
     let stats = store.stats();
     eprintln!(
         "opened {dir} ({} devices, {} blocks, {} segments)",
@@ -469,10 +470,10 @@ fn store(mut flags: Flags) -> Result<(), String> {
         }
         None => options.generate(),
     };
-    let mut store = TrajStore::new(StoreConfig::default().with_format(format));
+    let store = ShardedStore::new(StoreConfig::default().with_format(format), 1);
     let start = Instant::now();
     let (_, ingested) =
-        compress_fleet_into_store(&fleet, &options.pipeline(), &options.algorithm, &mut store)?;
+        compress_fleet_into_shared_store(&fleet, &options.pipeline(), &options.algorithm, &store)?;
     store.save(Path::new(&out)).map_err(|e| e.to_string())?;
     let stats = store.stats();
     println!(
@@ -511,7 +512,7 @@ fn query(mut flags: Flags) -> Result<(), String> {
     let dir = flags.positional().ok_or("query needs a store directory")?;
     flags.finish()?;
 
-    let store = open_flat(&dir, config)?;
+    let store = open_store(&dir, config)?;
     // Under --profile the query runs traced and the span tree (index walk,
     // pager fetches, block decodes) is printed as a stage breakdown.
     let profile_guard = profile.then(trajsimp::obs::trace_begin);
@@ -610,7 +611,7 @@ fn knn(mut flags: Flags) -> Result<(), String> {
         return Err("--k must be at least 1".to_string());
     }
 
-    let store = open_flat(&dir, config)?;
+    let store = open_store(&dir, config)?;
     let start = Instant::now();
     let result = store.knn(&points, k);
     let elapsed = start.elapsed();

@@ -16,10 +16,7 @@ use trajsimp::model::{SimplifiedSegment, SimplifiedTrajectory, Trajectory};
 use trajsimp::pipeline::{
     compress_fleet, compress_fleet_sequential, DeviceId, FleetAlgorithm, PipelineConfig,
 };
-use trajsimp::store::{
-    compress_fleet_into_shared_store, compress_fleet_into_store, KnnStats, ShardedStore,
-    StoreConfig, TrajStore,
-};
+use trajsimp::store::{compress_fleet_into_shared_store, KnnStats, ShardedStore, StoreConfig};
 
 const SEED: u64 = 20170401;
 const ZETA: f64 = 30.0;
@@ -50,7 +47,7 @@ fn square(centre: Point, half: f64) -> BoundingBox {
 }
 
 /// `simplified` cut into blocks of at most `block_segments` segments,
-/// the way `TrajStore` seals them.
+/// the way the store seals them.
 fn store_blocks(
     simplified: &SimplifiedTrajectory,
     block_segments: usize,
@@ -99,13 +96,15 @@ fn block_format_footprints() {
 fn store_footprint_window_skipping_and_buffer_pool() {
     // 100 devices × 150 points in FoR 32-segment blocks.
     let fleet = taxi_fleet(100, 150);
-    let mut store = TrajStore::new(
+    let store = ShardedStore::new(
         StoreConfig::default()
             .with_block_segments(32)
             .with_format(BlockFormat::ForFixed),
+        1,
     );
-    let (_, ingested) = compress_fleet_into_store(&fleet, &pipeline_config(), &operb(), &mut store)
-        .expect("ingest succeeds");
+    let (_, ingested) =
+        compress_fleet_into_shared_store(&fleet, &pipeline_config(), &operb(), &store)
+            .expect("ingest succeeds");
     assert_eq!(ingested, 100);
     let stats = store.stats();
     assert_eq!(
@@ -162,7 +161,7 @@ fn store_footprint_window_skipping_and_buffer_pool() {
         .count()
         .max(1);
     let config = StoreConfig::default().with_cache_bytes(Some(cap));
-    let ooc = TrajStore::open_with(&dir, config).expect("reopen");
+    let ooc = ShardedStore::open_with(&dir, 1, config).expect("reopen");
     let cache = || {
         ooc.memory_stats()
             .cache
@@ -197,7 +196,7 @@ fn store_footprint_window_skipping_and_buffer_pool() {
     // misses, 437 evictions) ranks each hot page out before its next
     // read; SIEVE's visited bits keep most hot pages through the scan.
     const HOT: usize = 6;
-    let ooc = TrajStore::open_with(&dir, config).expect("reopen");
+    let ooc = ShardedStore::open_with(&dir, 1, config).expect("reopen");
     for (i, (device, traj)) in fleet.iter().skip(HOT).enumerate() {
         if i % HOT == 0 {
             for (hot, hot_traj) in fleet.iter().take(HOT) {
@@ -222,12 +221,15 @@ fn knn_pruning_and_geofence_alerts() {
     let config = StoreConfig::default().with_block_segments(32);
 
     // kNN: 16 three-point probes along real paths, k = 10, against the
-    // flat store and against the same fleet in 16 shards (one top-k
-    // carried from shard to shard).
-    let mut store = TrajStore::new(config);
-    compress_fleet_into_store(&fleet, &pipeline_config(), &operb(), &mut store)
-        .expect("ingest succeeds");
-    let sharded = ShardedStore::from_store(store.clone(), 16);
+    // fleet in one shard and in 16 shards (one top-k carried from shard
+    // to shard).
+    let build = |shards: usize| {
+        let store = ShardedStore::new(config, shards);
+        compress_fleet_into_shared_store(&fleet, &pipeline_config(), &operb(), &store)
+            .expect("ingest succeeds");
+        store
+    };
+    let (store, sharded) = (build(1), build(16));
     let probes: Vec<Vec<Point>> = (0..16)
         .map(|p| {
             let (_, traj) = &fleet[(p * 37) % fleet.len()];
