@@ -1,8 +1,10 @@
 //! Efficiency experiments: Figures 12, 13 and 14 of the paper.
 //!
-//! All three report wall-clock compression time (milliseconds) of the timed
-//! compression step only, averaged over repetitions, exactly as §6.2.1
-//! describes.
+//! All three report wall-clock time (milliseconds) of the compression step
+//! only, as §6.2.1 describes.  Where the paper averages three runs, each
+//! cell here is the median of nine runs after one untimed
+//! warm-up, printed with their interquartile range: runs of a few
+//! milliseconds on a shared host need both to be compared.
 
 use crate::algorithms::{ablation_algorithms, standard_algorithms};
 use crate::datasets::{DatasetRepository, Scale};
@@ -11,8 +13,9 @@ use traj_data::DatasetKind;
 use traj_metrics::evaluate_batch;
 use traj_model::BatchSimplifier;
 
-/// Number of timed repetitions (the paper repeats each test 3 times).
-const REPETITIONS: u32 = 3;
+/// Number of timed repetitions per cell (the paper's three are too few
+/// for a median and quartiles).
+const REPETITIONS: u32 = 9;
 
 /// Figure 12 — running time as a function of the trajectory size
 /// `|T| ∈ {2000, …, 10000}` with ζ = 40 m.
@@ -33,12 +36,7 @@ pub fn fig12(repo: &DatasetRepository, scale: Scale) -> ExperimentReport {
             let data = repo.sized_dataset(kind, count, size);
             for algo in &algorithms {
                 let result = evaluate_batch(algo.as_ref(), &data, 40.0, REPETITIONS);
-                report.push(
-                    kind.name(),
-                    algo.name(),
-                    size as f64,
-                    result.timing.mean_millis(),
-                );
+                report.push_timed(kind.name(), algo.name(), size as f64, &result.timing);
             }
         }
     }
@@ -63,7 +61,7 @@ fn zeta_sweep(
         for &zeta in &zetas {
             for algo in algorithms {
                 let result = evaluate_batch(algo.as_ref(), &data, zeta, REPETITIONS);
-                report.push(kind.name(), algo.name(), zeta, result.timing.mean_millis());
+                report.push_timed(kind.name(), algo.name(), zeta, &result.timing);
             }
         }
     }
@@ -109,10 +107,13 @@ mod tests {
         for algo in standard_algorithms() {
             let r = evaluate_batch(algo.as_ref(), &data, 40.0, 1);
             assert!(r.error_bounded(), "{} must be error bounded", algo.name());
-            report.push("Taxi", algo.name(), 400.0, r.timing.mean_millis());
+            report.push_timed("Taxi", algo.name(), 400.0, &r.timing);
         }
         assert_eq!(report.records.len(), 4);
-        assert!(report.records.iter().all(|r| r.value >= 0.0));
+        assert!(report
+            .records
+            .iter()
+            .all(|r| r.value >= 0.0 && r.iqr.is_some_and(|iqr| iqr >= 0.0)));
     }
 
     #[test]
@@ -126,7 +127,7 @@ mod tests {
         for &zeta in &[20.0, 60.0] {
             for algo in &algos {
                 let r = evaluate_batch(algo.as_ref(), &data, zeta, 1);
-                report.push("SerCar", algo.name(), zeta, r.timing.mean_millis());
+                report.push_timed("SerCar", algo.name(), zeta, &r.timing);
             }
         }
         assert_eq!(report.parameters(), vec![20.0, 60.0]);

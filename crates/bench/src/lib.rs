@@ -5,17 +5,18 @@
 //! End-to-end and per-layer performance is measured by `perfbench` at the
 //! repository root, not here.
 //!
-//! Run everything:
+//! The `trajsimp` command line runs them, every one or one by name (the
+//! names of [`experiments::EXPERIMENTS`]: `table1`, `fig12`, …, `fig19b`):
 //!
 //! ```text
-//! cargo run --release -p traj-bench --bin experiments -- all
+//! cargo run --release --bin trajsimp -- experiments all
+//! cargo run --release --bin trajsimp -- experiments fig15 --scale full --json results/
 //! ```
 //!
-//! or a single experiment (`table1`, `fig12`, …, `fig19b`); add
-//! `--scale full` for larger workloads (the default `quick` scale finishes
-//! in a couple of minutes on a laptop).  See `docs/ARCHITECTURE.md` at the
-//! repository root for the paper-section → module map this harness
-//! follows.
+//! `--scale full` runs larger workloads (the default `quick` scale
+//! finishes in under a minute), and `--seed N` changes the datasets.  See
+//! `docs/ARCHITECTURE.md` at the repository root for the paper-section →
+//! module map this harness follows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

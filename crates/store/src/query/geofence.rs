@@ -493,7 +493,11 @@ impl GeofenceRegistry {
         inner.cursors.insert(device, new_cursor);
         // Detach subscriptions whose consumer side is gone.
         inner.subscribers.retain(|s| Arc::strong_count(s) > 1);
-        self.persist(&inner);
+        // With no fence there is nothing to deliver twice: the cursors
+        // stay in memory, and the next `register` writes them all.
+        if !inner.fences.is_empty() {
+            self.persist(&inner);
+        }
         drop(inner);
         span.attr("alerts", fired);
     }
@@ -513,12 +517,16 @@ impl GeofenceRegistry {
         self.on_sealed(device, 0, metas);
     }
 
-    /// Attaches a persistence path; state is re-saved on every mutation
-    /// from now on (and once immediately).
+    /// Attaches a persistence path.  From now on every fence change saves
+    /// the state, and so does every evaluation while a fence is
+    /// registered; a registry that already holds a fence is saved at once.
+    /// A registry that never had a fence writes no file.
     pub fn set_persist_path(&self, path: PathBuf) {
         let mut inner = self.lock();
         inner.persist_path = Some(path);
-        self.persist(&inner);
+        if !inner.fences.is_empty() {
+            self.persist(&inner);
+        }
     }
 
     /// Loads fences, cursors and the sequence counter from a persisted

@@ -523,3 +523,47 @@ fn alerts_for_a_device_above_2_pow_53_fire_once_across_durable_reopen() {
     assert_eq!(fired.alerts[0].seq, 2, "the sequence continues");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_store_without_fences_writes_no_geofence_file() {
+    let dir = temp_dir("geofence-none");
+    let file = dir.join("geofences.json");
+    {
+        let (store, _) = ShardedStore::open_durable(&dir, 2, durable_config()).unwrap();
+        for d in 0..3u64 {
+            store.ingest(d, &line(0.0, 0.0, 6), 5.0).unwrap();
+        }
+        assert!(!file.exists(), "no fence, no file after ingest");
+    }
+    // The reopen catches up every device; with no fence there is nothing
+    // to save.
+    let (store, _) = ShardedStore::open_durable(&dir, 2, durable_config()).unwrap();
+    assert!(!file.exists(), "no fence, no file after a reopen");
+
+    // Forward-only: the first fence sees the next block, not the blocks
+    // ingested before it.
+    store
+        .geofences()
+        .register("west", region(0.0, -50.0, 150.0, 50.0), None)
+        .unwrap();
+    assert!(file.exists(), "registering a fence writes the file");
+    store.ingest(3, &line(0.0, 0.0, 6), 5.0).unwrap();
+    let fired = store.geofences().alerts_after(0, 100, None);
+    assert_eq!(alert_keys(&fired.alerts), vec![(1, 3, 0)]);
+    drop(store);
+
+    let (store, _) = ShardedStore::open_durable(&dir, 2, durable_config()).unwrap();
+    assert_eq!(store.geofences().fences().len(), 1, "the fence survives");
+    assert_eq!(
+        store.geofences().stats().alerts_fired,
+        0,
+        "no re-fired alert"
+    );
+    // Removing the last fence is written too, or a reopen would bring it
+    // back.
+    assert!(store.geofences().remove(1));
+    drop(store);
+    let (store, _) = ShardedStore::open_durable(&dir, 2, durable_config()).unwrap();
+    assert!(store.geofences().fences().is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,7 +4,7 @@
 # (the exact codec/store/query counts of tests/exact_counts.rs and the
 # per-request allocation budgets of tests/alloc_budget.rs among them),
 # the release-mode robustness, query-engine, serving and crash-recovery
-# suites, the example and CLI smoke runs, a traced perfbench run of every
+# suites, the example, CLI and experiment smoke runs, a traced perfbench run of every
 # workload, rustdoc and clippy.  No step compares a timing against a stored baseline:
 # performance is measured by perfbench (see perfbench/README.md).
 # Usage: ./scripts/check.sh
@@ -65,6 +65,15 @@ cargo run --release --bin trajsimp -- geofence --fence center=-800,-800,800,800 
 
 echo "==> CLI suite (release): every mode's argument errors, single-file output per algorithm, store/query/knn round trip"
 cargo test --release -q --test cli
+
+echo "==> experiments (release): the harness and timing suites, and table1 + fig17 saved as JSON through trajsimp"
+cargo test --release -q -p traj-bench
+cargo test --release -q -p traj-metrics
+rm -rf target/experiments
+cargo run --release --bin trajsimp -- experiments table1 --json target/experiments > /dev/null
+cargo run --release --bin trajsimp -- experiments fig17 --json target/experiments > /dev/null
+test -s target/experiments/table1.json
+test -s target/experiments/fig17.json
 
 echo "==> serving suites (release): the serve smoke test, keep-alive, admission bound, shutdown, header deadline, client reuse and retry"
 # The whole suites, not only the smoke test, so that races in shutdown and

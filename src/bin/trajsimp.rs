@@ -7,6 +7,7 @@
 //! trajsimp query DIR (--device N --from T --to T | --window x0,y0,x1,y1 | --device N --at T)
 //! trajsimp knn DIR --point x,y [-k 5] [--brute]
 //! trajsimp geofence --fence downtown=0,0,500,500 [--waves 3]
+//! trajsimp experiments fig15 [--scale quick|full] [--json DIR] [--seed N]
 //! ```
 //!
 //! The single-file mode reads a trajectory file (planar `x,y,t` CSV or a
@@ -40,6 +41,10 @@
 //! synthetic fleet — and optionally keeps ingesting further waves of the
 //! fleet live while serving.  `GET /shutdown` stops it gracefully.
 //!
+//! The `experiments` subcommand regenerates a table or figure of the
+//! paper's evaluation (§6) through `traj-bench`, or `all` of them in
+//! order, and with `--json DIR` also saves each result as `DIR/NAME.json`.
+//!
 //! Every mode reads its arguments through one [`Flags`] reader, and every
 //! algorithm name resolves through [`FleetAlgorithm::by_name`].
 
@@ -50,6 +55,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use trajsimp::bench::experiments::{select, EXPERIMENTS};
+use trajsimp::bench::{DatasetRepository, Scale};
 use trajsimp::data::io::{read_csv, read_plt};
 use trajsimp::data::{DatasetGenerator, DatasetKind};
 use trajsimp::geo::{BoundingBox, Point};
@@ -84,6 +91,7 @@ const USAGE: &str = "usage: trajsimp <input.csv|input.plt> [--algorithm NAME] [-
                       [--cache-bytes N] [--slow-query-ms MS]\n\
                       [--no-shutdown-endpoint] [--trajectories N] [--points N] [--algorithm NAME]\n\
                       [--epsilon METERS] [--dataset NAME] [--seed N]   (HTTP query server; GET /shutdown stops it)\n\
+       trajsimp experiments NAME [--scale quick|full] [--json DIR] [--seed N]   (the paper's tables and figures)\n\
        coordinates and times must be finite; the algorithm defaults to operb-a for a file, operb otherwise";
 
 /// The one argument reader.  Each mode takes its flags out of it — a
@@ -216,6 +224,10 @@ fn dataset(value: &str) -> Result<DatasetKind, String> {
         .into_iter()
         .find(|kind| kind.name().eq_ignore_ascii_case(value))
         .ok_or_else(|| "want taxi, truck, sercar or geolife".to_string())
+}
+
+fn scale(value: &str) -> Result<Scale, String> {
+    Scale::parse(value).ok_or_else(|| "want quick or full".to_string())
 }
 
 fn block_format(value: &str) -> Result<BlockFormat, String> {
@@ -951,6 +963,40 @@ fn serve(mut flags: Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs the experiments `NAME` selects, printing each one's tables and,
+/// with `--json DIR`, saving its result as `DIR/NAME.json`.
+fn experiments(mut flags: Flags) -> Result<(), String> {
+    let scale = flags.get(&["--scale"], scale)?.unwrap_or(Scale::Quick);
+    let json_dir = flags.get(&["--json"], text)?;
+    let repo = match flags.get(&["--seed"], parsed)? {
+        Some(seed) => DatasetRepository::with_seed(seed),
+        None => DatasetRepository::new(),
+    };
+    let name = flags.positional().ok_or("missing the experiment name")?;
+    flags.finish()?;
+    let selected = select(&name).ok_or_else(|| format!("unknown experiment '{name}'"))?;
+
+    if let Some(dir) = &json_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    }
+    if selected.len() > 1 {
+        eprintln!("generating datasets …");
+        repo.prewarm(scale);
+    }
+    for (name, run) in selected {
+        eprintln!("running {name} …");
+        let output = run(&repo, scale);
+        println!("{}", output.text);
+        if let Some(dir) = &json_dir {
+            let path = Path::new(dir).join(format!("{name}.json"));
+            std::fs::write(&path, output.json)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            eprintln!("wrote {}", path.display());
+        }
+    }
+    Ok(())
+}
+
 /// A mode of the command line: it reads its arguments, then runs.
 type Mode = fn(Flags) -> Result<(), String>;
 
@@ -963,14 +1009,17 @@ fn main() -> ExitCode {
         Some("knn") => (knn, &args[1..]),
         Some("geofence") => (geofence, &args[1..]),
         Some("serve") => (serve, &args[1..]),
+        Some("experiments") => (experiments, &args[1..]),
         _ => (single_file, &args),
     };
     match run(Flags(rest.to_vec())) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
+            let experiments: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
             eprintln!(
-                "{msg}\n{USAGE}\nalgorithms: {}",
-                FleetAlgorithm::all_names().join(", ")
+                "{msg}\n{USAGE}\nalgorithms: {}\nexperiments: all, {}",
+                FleetAlgorithm::all_names().join(", "),
+                experiments.join(", ")
             );
             ExitCode::FAILURE
         }

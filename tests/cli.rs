@@ -2,14 +2,17 @@
 //! rejects a missing value, an unknown flag, a non-finite number and an
 //! unknown algorithm with exit code 1 and the usage text; the single-file
 //! mode writes exactly the shape points the fleet registry produces, for
-//! every algorithm name; and a persisted store answers every query kind.
+//! every algorithm name; a persisted store answers every query kind; and
+//! `experiments` saves its JSON or fails when it cannot.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use trajsimp::bench::experiments::EXPERIMENTS;
 use trajsimp::data::io::{read_csv, write_csv};
 use trajsimp::data::{DatasetGenerator, DatasetKind};
+use trajsimp::model::json::JsonValue;
 use trajsimp::pipeline::{compress_fleet_sequential, FleetAlgorithm};
 
 /// A scratch directory unique to this test process.
@@ -133,6 +136,19 @@ fn bad_arguments_exit_1_with_the_usage_text() {
             &["serve", "--port", "0", "--algorithm", "nope"],
             "unknown algorithm",
         ),
+        // experiments
+        (&["experiments"], "missing the experiment name"),
+        (&["experiments", "fig99"], "unknown experiment 'fig99'"),
+        (
+            &["experiments", "table1", "--scale", "huge"],
+            "want quick or full",
+        ),
+        (&["experiments", "table1", "--seed", "x"], "--seed 'x'"),
+        (&["experiments", "table1", "--json"], "needs a value"),
+        (
+            &["experiments", "table1", "--bogus"],
+            "unexpected argument '--bogus'",
+        ),
     ];
     for (args, want) in cases {
         let out = trajsimp(args);
@@ -150,6 +166,17 @@ fn bad_arguments_exit_1_with_the_usage_text() {
         assert!(
             stderr.contains(&names),
             "trajsimp {args:?}: no algorithm list"
+        );
+        assert!(
+            stderr.contains(&format!(
+                "experiments: all, {}",
+                EXPERIMENTS
+                    .iter()
+                    .map(|(name, _)| *name)
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )),
+            "trajsimp {args:?}: no experiment list"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -244,5 +271,33 @@ fn store_query_knn_round_trip() {
         "knn", store, "--point", "0,0", "--point", "500,-200", "-k", "4", "--brute",
     ]);
     assert!(knn.contains("bit-identical to brute force"), "{knn}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn experiments_save_their_json_or_exit_1() {
+    let dir = scratch("experiments");
+    let out = dir.join("results");
+    let stdout = assert_success(&["experiments", "table1", "--json", out.to_str().unwrap()]);
+    assert!(stdout.contains("Table 1"), "{stdout}");
+    let json = std::fs::read_to_string(out.join("table1.json")).unwrap();
+    let rows = JsonValue::parse(&json).expect("table1.json parses");
+    assert_eq!(rows.as_array().map(<[JsonValue]>::len), Some(4), "{json}");
+
+    // A directory under a regular file cannot be made, for root as for
+    // anyone else.
+    let file = dir.join("plain-file");
+    std::fs::write(&file, "").unwrap();
+    let under_file = file.join("results");
+    let args = [
+        "experiments",
+        "table1",
+        "--json",
+        under_file.to_str().unwrap(),
+    ];
+    let run = trajsimp(&args);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "trajsimp {args:?}:\n{stderr}");
+    assert!(stderr.contains("cannot create"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
